@@ -111,9 +111,6 @@ DEFAULT_MAPS = {
     "moisture": MOISTURE_MAP,
 }
 
-# Channel assignment: analog channels 0..2, rain as a digital line.
-DEFAULT_CHANNELS = {"temperature": 0, "pressure": 1, "moisture": 2}
-
 
 @dataclass(frozen=True)
 class SpiFrame:

@@ -12,7 +12,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Mapping, Sequence
 
-SENSOR_NAMES = ("temperature", "pressure", "moisture", "rain")
+from . import sensors
 
 HIGH_TEMP_MESSAGE = "Temperature is high, consider cooling measures"
 LOW_MOISTURE_MESSAGE = "Soil moisture is low, consider irrigation"
@@ -88,7 +88,7 @@ class AlertRule:
             raise RulesError("sustain must be >= 1")
         if not self.message:
             raise RulesError("message must be non-empty")
-        if self.parameter not in SENSOR_NAMES:
+        if self.parameter not in sensors.BY_NAME:
             raise RulesError(f"unknown parameter {self.parameter!r}")
 
     def violated_by(self, value: float) -> bool:

@@ -14,11 +14,11 @@ from itertools import count
 
 import click
 
-from . import analytics, httpd, pipeline
+from . import analytics, httpd, pipeline, sensors
 from .client import (HttpServiceClient, LocalServiceClient, RateLimited,
                      ServiceUnavailable)
 from .envsim import ScenarioError, resolve_scenario
-from .gateway import FIELD_MAP
+from .gateway import fields_to_reading
 from .service import (AuthError, BadRequestError, ChannelService,
                       CorruptStateError, UnknownChannelError, format_timestamp,
                       parse_timestamp)
@@ -26,10 +26,10 @@ from .storelog import CorruptLogError
 
 DEFAULT_ENDPOINT = "http://127.0.0.1:8266"
 DEFAULT_WRITE_KEY = "FIELDSTATIONKEY1"  # dev convenience; override in real use
-DEFAULT_FIELD_LABELS = ["Temperature", "Pressure", "Moisture", "Rain"]
+DEFAULT_FIELD_LABELS = [s.label for s in sensors.SENSORS]
 
-TABLE_COLUMNS = (("Time", None), ("Temperature", 1), ("Moisture", 3),
-                 ("Pressure", 2), ("Rain", 4))
+# `table` shows the sensors in this order, after the time column
+TABLE_COLUMNS = tuple(sensors.BY_NAME[n] for n in ("temperature", "moisture", "pressure", "rain"))
 
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -146,17 +146,18 @@ def serve(settings, host, port, data_dir, rate_limit, write_key, read_key, name)
 
 def _summarize_feeds(feeds: list[dict]) -> list[str]:
     lines = []
-    for label, index in (("temperature", 1), ("pressure", 2), ("moisture", 3)):
-        values = [float(e[f"field{index}"]) for e in feeds
-                  if e.get(f"field{index}") is not None]
-        if not values:
-            lines.append(f"{label}: no data")
+    for s in sensors.SENSORS:
+        texts = [e[f"field{s.field}"] for e in feeds if e.get(f"field{s.field}") is not None]
+        if not s.analog:
+            lines.append(f"{s.name}: n={len(feeds)} wet={texts.count('1')}")
             continue
+        if not texts:
+            lines.append(f"{s.name}: no data")
+            continue
+        values = [float(t) for t in texts]
         mean = sum(values) / len(values)
-        lines.append(f"{label}: n={len(values)} min={min(values):.2f} "
+        lines.append(f"{s.name}: n={len(values)} min={min(values):.2f} "
                      f"max={max(values):.2f} mean={mean:.3f}")
-    wet = [e for e in feeds if e.get("field4") == "1"]
-    lines.append(f"rain: n={len(feeds)} wet={len(wet)}")
     return lines
 
 
@@ -227,12 +228,12 @@ def table(settings, endpoint, channel, results, scenario, speed, rules):
     rows = []
     for entry in doc["feeds"]:
         row = [entry["created_at"]]
-        for _, index in TABLE_COLUMNS[1:]:
-            value = entry.get(f"field{index}")
+        for s in TABLE_COLUMNS:
+            value = entry.get(f"field{s.field}")
             row.append("--" if value is None else value)
         rows.append(row)
 
-    headers = [name for name, _ in TABLE_COLUMNS]
+    headers = ["Time", *(s.label for s in TABLE_COLUMNS)]
     widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows
               else len(headers[i]) for i in range(len(headers))]
     click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
@@ -325,20 +326,8 @@ def plot(settings, endpoint, channel, results, scenario, speed, rules,
 
 
 def _entry_to_reading(entry: dict):
-    from .gateway import Reading
-
-    def num(index: int) -> float | None:
-        value = entry.get(f"field{index}")
-        return None if value is None else float(value)
-
-    rain = entry.get(f"field{FIELD_MAP['rain']}")
-    return Reading(
-        timestamp=parse_timestamp(entry["created_at"]),
-        temperature=num(FIELD_MAP["temperature"]),
-        pressure=num(FIELD_MAP["pressure"]),
-        moisture=num(FIELD_MAP["moisture"]),
-        rain=None if rain is None else int(float(rain)),
-    )
+    fields = {s.field: entry.get(f"field{s.field}") for s in sensors.SENSORS}
+    return fields_to_reading(parse_timestamp(entry["created_at"]), fields)
 
 
 @cli.command("watch-alerts")

@@ -20,12 +20,10 @@ from . import adc
 from .analytics import AlertRuleSet, PowerSchedule, always_on
 from .client import RateLimited, ServiceUnavailable
 from .envsim import EnvSample
+from .sensors import SENSORS
 
-SENSORS = ("temperature", "pressure", "moisture", "rain")
-ANALOG_SENSORS = ("temperature", "pressure", "moisture")
-
-# field index convention shared with the channel service and CLI
-FIELD_MAP = {"temperature": 1, "pressure": 2, "moisture": 3, "rain": 4}
+# sensor name -> channel field index, for callers that look fields up by name
+FIELD_MAP = {s.name: s.field for s in SENSORS}
 
 DEFAULT_EPOCH = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -41,10 +39,6 @@ class Reading:
     pressure: float | None = None
     moisture: float | None = None
     rain: int | None = None
-
-    def present(self) -> dict[str, float | int]:
-        return {name: getattr(self, name) for name in SENSORS
-                if getattr(self, name) is not None}
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,7 @@ class GatewayConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     backlog_capacity: int = 1000
     power_mw: Mapping[str, float] = field(
-        default_factory=lambda: {name: 5.0 for name in SENSORS})
-    vref: float = adc.VREF_DEFAULT
+        default_factory=lambda: {s.name: 5.0 for s in SENSORS})
 
     def __post_init__(self):
         if self.sample_interval_s <= 0:
@@ -113,11 +106,6 @@ class EdgeGateway:
         with self._lock:
             self._schedule = schedule
 
-    @property
-    def schedule(self) -> PowerSchedule:
-        with self._lock:
-            return self._schedule
-
     def acquire_cycle(self, t: float, env: EnvSample) -> Reading:
         """Read all powered-on sensors through the converter chain.
 
@@ -130,28 +118,19 @@ class EdgeGateway:
                 raise ValueError(f"time went backwards: {t} < {self._last_t}")
             self._last_t = t
 
-            powered = [name for name in SENSORS if schedule.is_on(name, t)]
-            for name in powered:
-                self.ledger.add_on_time(name, self.config.sample_interval_s)
+            powered = [s for s in SENSORS if schedule.is_on(s.name, t)]
+            for s in powered:
+                self.ledger.add_on_time(s.name, self.config.sample_interval_s)
 
         if not powered:
             raise EmptyReadingError(f"all sensors off at t={t}")
 
-        values: dict[str, float | int | None] = {name: None for name in SENSORS}
-        for name in ANALOG_SENSORS:
-            if name in powered:
-                values[name] = adc.convert_units(getattr(env, name),
-                                                 self.transfer_maps[name])
-        if "rain" in powered:
-            values["rain"] = env.rain
-
-        return Reading(
-            timestamp=self.epoch + timedelta(seconds=t),
-            temperature=values["temperature"],
-            pressure=values["pressure"],
-            moisture=values["moisture"],
-            rain=values["rain"],
-        )
+        values: dict[str, float | int] = {}
+        for s in powered:
+            value = getattr(env, s.name)
+            values[s.name] = (adc.convert_units(value, self.transfer_maps[s.name])
+                              if s.analog else value)
+        return Reading(self.epoch + timedelta(seconds=t), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +187,15 @@ def indicator_states(reading: Reading, rules: AlertRuleSet) -> dict[str, bool]:
 
 def reading_to_fields(reading: Reading) -> dict[int, str]:
     """Map a reading onto the channel field convention as decimal strings."""
-    fields: dict[int, str] = {}
-    for name, value in reading.present().items():
-        index = FIELD_MAP[name]
-        fields[index] = str(value) if name == "rain" else f"{value:.2f}"
-    return fields
+    return {s.field: s.format(getattr(reading, s.name)) for s in SENSORS
+            if getattr(reading, s.name) is not None}
+
+
+def fields_to_reading(created_at: datetime,
+                      fields: Mapping[int, str | None]) -> Reading:
+    """Inverse of `reading_to_fields`; absent or null fields stay None."""
+    return Reading(created_at, **{s.name: s.parse(fields[s.field]) for s in SENSORS
+                                  if fields.get(s.field) is not None})
 
 
 @dataclass(frozen=True)

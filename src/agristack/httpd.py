@@ -35,6 +35,10 @@ log = logging.getLogger(__name__)
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _FIELD_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)\.json$")
 
+# serve_forever checks for shutdown this often, so stop() returns within about
+# this long; the stdlib default of 0.5 s would make every stop() that slow.
+_POLL_INTERVAL_S = 0.05
+
 
 def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     doc: dict = {"id": channel.id, "name": channel.name}
@@ -169,13 +173,13 @@ class ChannelHttpServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "ChannelHttpServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name="channel-httpd", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def stop(self) -> None:
         self._httpd.shutdown()

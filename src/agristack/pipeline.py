@@ -10,7 +10,7 @@ schedule is re-planned from the pressure forecast every horizon.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Callable
 
@@ -28,7 +28,6 @@ class RunReport:
     skipped: int = 0            # cycles with every sensor off
     drops: int = 0
     pending: int = 0
-    channel_id: int | None = None
     energy_mj: dict[str, float] = field(default_factory=dict)
     on_time_s: dict[str, float] = field(default_factory=dict)
 
@@ -48,6 +47,7 @@ def run_pipeline(spec: ScenarioSpec, client, *,
                           backlog_capacity=config.backlog_capacity,
                           sleep=sleep if speed != "max" else (lambda _s: None))
     forecast_cfg = forecast_cfg or ForecastConfig()
+    duty_cfg = duty_cfg or DutyCycleConfig(step_s=spec.tick_s)
     report = RunReport()
 
     pressure_history: list[float] = []
@@ -82,13 +82,9 @@ def run_pipeline(spec: ScenarioSpec, client, *,
                    or cycle - last_plan_cycle >= forecast_cfg.horizon)
             if due:
                 forecast = moving_average(pressure_history, forecast_cfg)
-                cfg = duty_cfg or DutyCycleConfig(step_s=spec.tick_s)
-                plan_from = env.t + spec.tick_s
                 schedule = plan_duty_cycle(
                     forecast.horizon, rain_history,
-                    DutyCycleConfig(lookback=cfg.lookback,
-                                    pressure_threshold=cfg.pressure_threshold,
-                                    step_s=cfg.step_s, start_t=plan_from))
+                    replace(duty_cfg, start_t=env.t + spec.tick_s))
                 gateway.apply_schedule(schedule)
                 last_plan_cycle = cycle
 

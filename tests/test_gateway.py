@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 from datetime import timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agristack.analytics import (PowerSchedule, ScheduleInterval, always_on,
                                  default_rules)
@@ -10,7 +13,9 @@ from agristack.client import RateLimited, ServiceUnavailable
 from agristack.envsim import EnvSample
 from agristack.gateway import (DEFAULT_EPOCH, EdgeGateway, EmptyReadingError,
                                LcdFrame, Publisher, Reading, RetryPolicy,
-                               indicator_states, reading_to_fields, render_lcd)
+                               fields_to_reading, indicator_states,
+                               reading_to_fields, render_lcd)
+from agristack.sensors import SENSORS
 
 ENV = EnvSample(t=0.0, temperature=37.72, pressure=1018.14, moisture=29.24, rain=1)
 
@@ -277,6 +282,28 @@ def test_reading_to_fields_mapping():
     reading = Reading(DEFAULT_EPOCH, temperature=22.035, pressure=None,
                       moisture=29.2, rain=1)
     assert reading_to_fields(reading) == {1: "22.04", 3: "29.20", 4: "1"}
+
+
+def test_reading_attributes_follow_the_sensor_table():
+    names = [f.name for f in dataclasses.fields(Reading)]
+    assert names == ["timestamp", *(s.name for s in SENSORS)]
+
+
+def _sensor_value(sensor):
+    value = (st.floats(-1e6, 1e6, allow_nan=False) if sensor.analog
+             else st.integers(0, 1))
+    return st.none() | value
+
+
+@given(st.fixed_dictionaries({s.name: _sensor_value(s) for s in SENSORS}))
+def test_fields_round_trip(values):
+    fields = reading_to_fields(Reading(DEFAULT_EPOCH, **values))
+    back = fields_to_reading(DEFAULT_EPOCH, fields)
+    rounded = {s.name: round(values[s.name], 2)
+               if s.analog and values[s.name] is not None else values[s.name]
+               for s in SENSORS}
+    assert back == Reading(DEFAULT_EPOCH, **rounded)
+    assert reading_to_fields(back) == fields
 
 
 def test_schedule_swaps_are_safe_during_acquisition():

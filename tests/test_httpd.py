@@ -190,3 +190,15 @@ def test_keepalive_requests_do_not_wait_for_delayed_ack(http_server):
         reads_s = time.perf_counter() - started
     assert writes_s < 1.0, f"50 keep-alive writes took {writes_s:.2f}s"
     assert reads_s < 1.0, f"50 keep-alive reads took {reads_s:.2f}s"
+
+
+def test_stop_returns_without_waiting_out_the_stdlib_poll(memory_service):
+    # serve_forever notices shutdown only between polls, so stop() can take a
+    # whole poll interval; the stdlib default of 0.5 s would fail this bound.
+    from agristack.httpd import ChannelHttpServer
+    started = time.perf_counter()
+    server = ChannelHttpServer(memory_service).start()
+    server.stop()
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.25, f"start() then stop() took {elapsed:.2f}s"
+    assert not server._thread.is_alive()
