@@ -15,9 +15,8 @@ from .analytics import (AlertEngine, AlertEvent, AlertRule, DutyCycleConfig,
 from .envsim import (EnvSample, ScenarioSpec, load_bundled_scenario,
                      load_scenario, parse_scenario, resolve_scenario,
                      sample_at, simulate, step)
-from .gateway import (EdgeGateway, EnergyLedger, GatewayConfig, LcdFrame,
-                      Publisher, Reading, RetryPolicy, indicator_states,
-                      render_lcd)
+from .gateway import (EdgeGateway, EnergyLedger, LcdFrame, Publisher, Reading,
+                      RetryPolicy, indicator_states, render_lcd)
 from .pipeline import RunReport, run_pipeline
 from .service import Channel, ChannelService, FeedEntry
 
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlertEngine", "AlertEvent", "AlertRule", "Channel", "ChannelService",
     "DEFAULT_MAPS", "DutyCycleConfig", "EdgeGateway", "EnergyLedger",
-    "EnvSample", "FeedEntry", "Forecast", "ForecastConfig", "GatewayConfig",
+    "EnvSample", "FeedEntry", "Forecast", "ForecastConfig",
     "IrrigationAction", "IrrigationCommand", "LcdFrame", "PowerSchedule",
     "Publisher", "Reading", "RetryPolicy", "RunReport", "ScenarioSpec",
     "ScheduleInterval", "SpiFrame", "TransferFunction", "decode",

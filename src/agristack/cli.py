@@ -149,7 +149,7 @@ def _summarize_feeds(feeds: list[dict]) -> list[str]:
     for s in sensors.SENSORS:
         texts = [e[f"field{s.field}"] for e in feeds if e.get(f"field{s.field}") is not None]
         if not s.analog:
-            lines.append(f"{s.name}: n={len(feeds)} wet={texts.count('1')}")
+            lines.append(f"{s.name}: n={len(texts)} wet={texts.count('1')}")
             continue
         if not texts:
             lines.append(f"{s.name}: no data")

@@ -15,7 +15,9 @@ import requests
 
 from . import httpd
 from .service import (AuthError, BadRequestError, ChannelService,
-                      UnknownChannelError, format_timestamp)
+                      UnknownChannelError, format_timestamp, parse_timestamp)
+
+TIMEOUT_S = 5.0                 # per HTTP request, connect and read
 
 
 class ServiceUnavailable(Exception):
@@ -28,17 +30,16 @@ class RateLimited(Exception):
 
 class HttpServiceClient:
     def __init__(self, endpoint: str, write_key: str | None = None,
-                 read_key: str | None = None, timeout_s: float = 5.0):
+                 read_key: str | None = None):
         self.endpoint = endpoint.rstrip("/")
         self.write_key = write_key
         self.read_key = read_key
-        self.timeout_s = timeout_s
         self._session = requests.Session()
 
     def _get(self, path: str, params: dict) -> requests.Response:
         try:
             return self._session.get(f"{self.endpoint}{path}", params=params,
-                                     timeout=self.timeout_s)
+                                     timeout=TIMEOUT_S)
         except requests.RequestException as exc:
             raise ServiceUnavailable(str(exc)) from exc
 
@@ -113,7 +114,6 @@ class LocalServiceClient:
 
     def read_feeds(self, channel_id: int, results: int | None = None,
                    start: str | None = None, end: str | None = None) -> dict:
-        from .service import parse_timestamp
         page = self.service.read_feeds(
             channel_id, results=results,
             start=parse_timestamp(start) if start else None,

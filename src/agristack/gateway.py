@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Mapping
 
@@ -51,31 +51,20 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
 
 
-@dataclass
-class GatewayConfig:
-    sample_interval_s: float = 10.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    backlog_capacity: int = 1000
-    power_mw: Mapping[str, float] = field(
-        default_factory=lambda: {s.name: 5.0 for s in SENSORS})
-
-    def __post_init__(self):
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample interval must be positive")
+SENSOR_POWER_MW = 5.0           # every sensor draws the same power when on
 
 
 class EnergyLedger:
     """Accumulated per-sensor on-time and the energy it implies."""
 
-    def __init__(self, power_mw: Mapping[str, float]):
-        self.power_mw = dict(power_mw)
-        self.on_time_s: dict[str, float] = {name: 0.0 for name in self.power_mw}
+    def __init__(self):
+        self.on_time_s: dict[str, float] = {s.name: 0.0 for s in SENSORS}
 
     def add_on_time(self, sensor: str, seconds: float) -> None:
         self.on_time_s[sensor] += seconds
 
     def energy_mj(self, sensor: str) -> float:
-        return self.on_time_s[sensor] * self.power_mw[sensor]
+        return self.on_time_s[sensor] * SENSOR_POWER_MW
 
     def total_energy_mj(self) -> float:
         return sum(self.energy_mj(name) for name in self.on_time_s)
@@ -90,14 +79,12 @@ class EdgeGateway:
     controller thread may do so while the acquisition loop runs.
     """
 
-    def __init__(self, config: GatewayConfig | None = None,
-                 transfer_maps: Mapping[str, adc.TransferFunction] = adc.DEFAULT_MAPS,
+    def __init__(self, sample_interval_s: float = 10.0,
                  schedule: PowerSchedule | None = None,
                  epoch: datetime = DEFAULT_EPOCH):
-        self.config = config or GatewayConfig()
-        self.transfer_maps = dict(transfer_maps)
+        self.sample_interval_s = sample_interval_s
         self.epoch = epoch
-        self.ledger = EnergyLedger(self.config.power_mw)
+        self.ledger = EnergyLedger()
         self._schedule = schedule if schedule is not None else always_on()
         self._lock = threading.Lock()
         self._last_t: float | None = None
@@ -120,7 +107,7 @@ class EdgeGateway:
 
             powered = [s for s in SENSORS if schedule.is_on(s.name, t)]
             for s in powered:
-                self.ledger.add_on_time(s.name, self.config.sample_interval_s)
+                self.ledger.add_on_time(s.name, self.sample_interval_s)
 
         if not powered:
             raise EmptyReadingError(f"all sensors off at t={t}")
@@ -128,7 +115,7 @@ class EdgeGateway:
         values: dict[str, float | int] = {}
         for s in powered:
             value = getattr(env, s.name)
-            values[s.name] = (adc.convert_units(value, self.transfer_maps[s.name])
+            values[s.name] = (adc.convert_units(value, adc.DEFAULT_MAPS[s.name])
                               if s.analog else value)
         return Reading(self.epoch + timedelta(seconds=t), **values)
 

@@ -16,8 +16,7 @@ from typing import Callable
 
 from .analytics import DutyCycleConfig, ForecastConfig, moving_average, plan_duty_cycle
 from .envsim import ScenarioSpec, simulate
-from .gateway import (DEFAULT_EPOCH, EdgeGateway, EmptyReadingError,
-                      GatewayConfig, Publisher, Reading)
+from .gateway import DEFAULT_EPOCH, EdgeGateway, EmptyReadingError, Publisher, Reading
 
 
 @dataclass
@@ -33,21 +32,14 @@ class RunReport:
 
 
 def run_pipeline(spec: ScenarioSpec, client, *,
-                 config: GatewayConfig | None = None,
                  epoch: datetime = DEFAULT_EPOCH,
                  duty_cycle: bool = False,
-                 forecast_cfg: ForecastConfig | None = None,
-                 duty_cfg: DutyCycleConfig | None = None,
                  speed: float | str = "max",
-                 sleep: Callable[[float], None] = time.sleep,
                  on_reading: Callable[[float, Reading], None] | None = None) -> RunReport:
-    config = config or GatewayConfig(sample_interval_s=spec.tick_s)
-    gateway = EdgeGateway(config=config, epoch=epoch)
-    publisher = Publisher(client, retry=config.retry,
-                          backlog_capacity=config.backlog_capacity,
-                          sleep=sleep if speed != "max" else (lambda _s: None))
-    forecast_cfg = forecast_cfg or ForecastConfig()
-    duty_cfg = duty_cfg or DutyCycleConfig(step_s=spec.tick_s)
+    gateway = EdgeGateway(sample_interval_s=spec.tick_s, epoch=epoch)
+    publisher = Publisher(client, sleep=time.sleep if speed != "max" else (lambda _s: None))
+    forecast_cfg = ForecastConfig()
+    duty_cfg = DutyCycleConfig(step_s=spec.tick_s)
     report = RunReport()
 
     pressure_history: list[float] = []
@@ -56,7 +48,7 @@ def run_pipeline(spec: ScenarioSpec, client, *,
 
     for cycle, env in enumerate(simulate(spec)):
         if speed != "max":
-            sleep(spec.tick_s / float(speed))
+            time.sleep(spec.tick_s / float(speed))
         try:
             reading = gateway.acquire_cycle(env.t, env)
         except EmptyReadingError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import secrets
 import threading
@@ -155,14 +156,11 @@ class ChannelService:
 
     def create_channel(self, name: str, fields: Mapping[int, str] | list[str],
                        write_key: str | None = None, read_key: str | None = None,
-                       rate_limit_s: float = DEFAULT_RATE_LIMIT_S,
-                       channel_id: int | None = None) -> Channel:
+                       rate_limit_s: float = DEFAULT_RATE_LIMIT_S) -> Channel:
         if isinstance(fields, list):
             fields = {i + 1: label for i, label in enumerate(fields)}
         with self._registry_lock:
-            cid = channel_id if channel_id is not None else (max(self._channels, default=0) + 1)
-            if cid in self._channels:
-                raise ValueError(f"channel {cid} already exists")
+            cid = max(self._channels, default=0) + 1
             key = write_key if write_key is not None else generate_key()
             if key in self._by_write_key:
                 raise ValueError("write_key already in use")
@@ -270,8 +268,19 @@ class ChannelService:
             for s in self._channels.values()
         ]}
         tmp = self._registry_path().with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            if self.fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         tmp.replace(self._registry_path())
+        if self.fsync:
+            # the rename is durable only once the directory entry is on disk
+            dir_fd = os.open(self.data_dir, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
 
     def _recover(self) -> None:
         """Rebuild state from channels.json plus each channel's entry log."""

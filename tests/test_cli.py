@@ -241,6 +241,17 @@ def test_run_standalone_prints_summary(capsys):
     assert "energy:" in out
 
 
+def test_run_rain_line_counts_only_entries_with_a_rain_value(capsys):
+    code, out, _ = run_cli(capsys, "run", "--scenario", "paper_hour")
+    assert code == 0
+    assert "rain: n=360 wet=6" in out.splitlines()
+    # duty cycling powers the rain sensor off for most cycles; those entries
+    # carry no rain field and must not count towards n
+    code, out, _ = run_cli(capsys, "run", "--scenario", "paper_hour", "--duty-cycle")
+    assert code == 0
+    assert "rain: n=21 wet=3" in out.splitlines()
+
+
 def test_run_against_endpoint(http_server, capsys):
     code, out, _ = run_cli(capsys, "--endpoint", http_server.endpoint, "run",
                            "--scenario", "paper_hour", "--speed", "max",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from agristack.client import LocalServiceClient, ServiceUnavailable
@@ -24,6 +26,16 @@ tick_s = 10
 [script]
 0,25.0,1011.0,30.0,0
 600,25.0,1011.0,30.0,0
+"""
+
+
+THREE_TICKS = """
+mode = scripted
+duration_s = 3
+tick_s = 1
+[script]
+0,25.0,1020.0,30.0,0
+3,25.0,1020.0,30.0,0
 """
 
 
@@ -61,6 +73,22 @@ def test_pipeline_publishes_every_cycle():
     assert report.drops == 0
     entries = service.read_feeds(1, results=8000).entries
     assert [e.entry_id for e in entries] == list(range(1, 61))
+
+
+def test_numeric_speed_paces_each_tick_with_time_sleep(monkeypatch):
+    sleeps: list[float] = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    spec = parse_scenario(THREE_TICKS)
+
+    _, client = fresh_client()
+    report = run_pipeline(spec, client, speed=1000)
+    assert report.acknowledged == 3
+    assert sleeps == pytest.approx([0.001] * 3)
+
+    sleeps.clear()
+    _, client = fresh_client()
+    assert run_pipeline(spec, client, speed="max").acknowledged == 3
+    assert sleeps == []
 
 
 def test_fault_injection_preserves_acquisition_order():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import stat
 import threading
 from datetime import datetime, timezone
 
@@ -224,6 +226,36 @@ def test_channel_metadata_survives_restart(tmp_path, clock):
     assert ch.read_key == "READKEY123456789"
     assert ch.rate_limit_s == 7.5
     assert ch.fields == {1: "Temperature", 2: "Pressure", 3: "Moisture", 4: "Rain"}
+
+
+def _record_fsyncs(monkeypatch, registry):
+    """Replace os.fsync with a recorder of (is a directory, registry exists)."""
+    calls = []
+
+    def fsync(fd):
+        calls.append((stat.S_ISDIR(os.fstat(fd).st_mode), registry.exists()))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+def test_registry_save_fsyncs_file_then_directory(tmp_path, clock, monkeypatch):
+    calls = _record_fsyncs(monkeypatch, tmp_path / "channels.json")
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=True)
+    service.create_channel("station", FIELD_LABELS, write_key=WRITE_KEY)
+    # the temp file before it is renamed over channels.json, then the directory
+    assert calls == [(False, False), (True, True)]
+    service.close()
+
+
+def test_registry_save_without_fsync_makes_no_fsync_call(tmp_path, clock, monkeypatch):
+    calls = _record_fsyncs(monkeypatch, tmp_path / "channels.json")
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    service.create_channel("station", FIELD_LABELS, write_key=WRITE_KEY)
+    service.create_channel("other", FIELD_LABELS)
+    assert service.update(WRITE_KEY, {1: "1.0"}) == 1
+    assert calls == []
+    service.close()
 
 
 def test_concurrent_writers_get_gapless_ids(clock):
