@@ -343,7 +343,9 @@ def watch_alerts(settings, endpoint, channel, results, scenario, speed, rules,
 
     Existing history is replayed through the rules on the first poll, then
     only new entries are evaluated; each sustained violation episode prints
-    exactly once. Output lines: `ISO-time  RULE-ID  message`.
+    exactly once. Output lines: `ISO-time  RULE-ID  message`. Entries that
+    drop out of the 8000-entry poll before it sees them are named on stderr
+    as `warning: entries A..B not evaluated`.
     """
     settings = _merge(settings, endpoint, channel, results, scenario, speed, rules)
     rules = _load_rules(settings)
@@ -372,6 +374,9 @@ def watch_alerts(settings, endpoint, channel, results, scenario, speed, rules,
         for entry in doc["feeds"]:
             if entry["entry_id"] <= last_seen:
                 continue
+            if entry["entry_id"] > last_seen + 1:  # fell out of the polled window
+                click.echo(f"warning: entries {last_seen + 1}..{entry['entry_id'] - 1}"
+                           f" not evaluated", err=True)
             last_seen = entry["entry_id"]
             for event in engine.observe(_entry_to_reading(entry)):
                 click.echo(f"{format_timestamp(event.triggered)}  "

@@ -39,6 +39,10 @@ _FIELD_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)\.json$")
 # this long; the stdlib default of 0.5 s would make every stop() that slow.
 _POLL_INTERVAL_S = 0.05
 
+# A connection that sends no request for this long is closed, so an idle
+# keep-alive client does not hold its server thread for ever.
+_IDLE_TIMEOUT_S = 60
+
 
 def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     doc: dict = {"id": channel.id, "name": channel.name}
@@ -48,30 +52,22 @@ def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     return doc
 
 
-def entry_doc(channel: svc.Channel, entry: svc.FeedEntry,
-              only_field: int | None = None) -> dict:
-    doc: dict = {
-        "created_at": svc.format_timestamp(entry.created_at),
-        "entry_id": entry.entry_id,
-    }
-    for k in sorted(channel.fields):
-        if only_field is None or k == only_field:
-            doc[f"field{k}"] = entry.fields.get(k)
-    return doc
-
-
 def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
-    doc = {
-        "channel": channel_doc(page.channel, only_field),
-        "feeds": [entry_doc(page.channel, e, only_field) for e in page.entries],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
+    if only_field is None:
+        feeds = page.wire
+    else:
+        # [only_field], or no field if the channel lacks it, as in channel_doc
+        keys = [k for k in page.channel.fields if k == only_field]
+        feeds = [svc.render_entry(e, keys) for e in page.entries]
+    return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Replies are two sends; see the module docstring for why this is set.
     disable_nagle_algorithm = True
+    timeout = _IDLE_TIMEOUT_S
 
     @property
     def service(self) -> svc.ChannelService:

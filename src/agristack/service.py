@@ -16,19 +16,25 @@ import os
 import re
 import secrets
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .storelog import RecordLog
+from .storelog import RecordLog, fsync_directory
 
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 MAX_FIELDS = 8
 MAX_RESULTS = 8000
 DEFAULT_RATE_LIMIT_S = 15.0
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+# ASCII only and matched in full, so a stored value needs no JSON escaping
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# TIMESTAMP_FMT's zero-padded form, as a pattern
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+_CREATED_AT = attrgetter("created_at")
 
 
 class ServiceError(Exception):
@@ -56,12 +62,12 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
-    try:
-        return datetime.strptime(text, TIMESTAMP_FMT).replace(tzinfo=timezone.utc)
-    except ValueError:
-        raise BadRequestError(
-            f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form"
-        ) from None
+    if _TIMESTAMP_RE.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text)  # reads the trailing Z as UTC
+        except ValueError:  # a field out of range, such as month 13
+            pass
+    raise BadRequestError(f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form")
 
 
 def generate_key() -> str:
@@ -73,6 +79,23 @@ class FeedEntry:
     entry_id: int
     created_at: datetime
     fields: Mapping[int, str]
+
+
+def render_entry(entry: FeedEntry, keys: Iterable[int]) -> str:
+    """`entry` as the compact JSON object a feed body lists, fields `keys`
+    in the given order, null where the entry has no value.
+
+    Byte-identical to `json.dumps` of the same dict with separators
+    (",", ":"): the timestamp and the stored values (see _NUMBER_RE) hold no
+    character JSON escapes.
+    """
+    parts = [f'{{"created_at":"{format_timestamp(entry.created_at)}",'
+             f'"entry_id":{entry.entry_id}']
+    for k in keys:
+        value = entry.fields.get(k)
+        parts.append(f',"field{k}":null' if value is None else f',"field{k}":"{value}"')
+    parts.append("}")
+    return "".join(parts)
 
 
 @dataclass
@@ -102,12 +125,15 @@ class Channel:
 class FeedPage:
     channel: Channel
     entries: tuple[FeedEntry, ...]
+    wire: tuple[str, ...]       # render_entry of each entry, all channel fields
 
 
 @dataclass
 class _ChannelState:
     meta: Channel
     entries: list[FeedEntry] = field(default_factory=list)
+    # render_entry output by entry_id, filled on an entry's first read
+    wire: dict[int, str] = field(default_factory=dict)
     log: RecordLog | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_accept: datetime | None = None
@@ -125,7 +151,7 @@ def _validate_field_values(values: Mapping[int, str]) -> dict[int, str]:
         if not 1 <= index <= MAX_FIELDS:
             raise BadRequestError(f"field index {k} outside 1..{MAX_FIELDS}")
         text = str(v)
-        if not _NUMBER_RE.match(text) or not math.isfinite(float(text)):
+        if not _NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
             raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
         cleaned[index] = text
     return cleaned
@@ -232,16 +258,25 @@ class ChannelService:
             raise AuthError("channel is private; valid read key required")
         if results is not None and results < 0:
             raise BadRequestError("results must be >= 0")
-        with state.lock:
-            entries = list(state.entries)
-        if start is not None:
-            entries = [e for e in entries if e.created_at >= start]
-        if end is not None:
-            entries = [e for e in entries if e.created_at <= end]
         n = MAX_RESULTS if results is None else min(results, MAX_RESULTS)
-        if n < len(entries):
-            entries = entries[len(entries) - n:]
-        return FeedPage(state.meta, tuple(entries))
+        with state.lock:
+            # entries are in created_at order: update refuses an older one
+            entries = state.entries
+            lo = 0 if start is None else bisect_left(entries, start, key=_CREATED_AT)
+            hi = (len(entries) if end is None
+                  else bisect_right(entries, end, key=_CREATED_AT))
+            window = tuple(entries[max(lo, hi - n):hi])
+        # Rendered outside the lock so a write never waits on a first read;
+        # two readers racing on one entry store equal strings.
+        keys = sorted(state.meta.fields)
+        memo = state.wire
+        wire = []
+        for entry in window:
+            text = memo.get(entry.entry_id)
+            if text is None:
+                text = memo[entry.entry_id] = render_entry(entry, keys)
+            wire.append(text)
+        return FeedPage(state.meta, window, tuple(wire))
 
     # -- persistence --------------------------------------------------------
 
@@ -275,12 +310,7 @@ class ChannelService:
                 os.fsync(fh.fileno())
         tmp.replace(self._registry_path())
         if self.fsync:
-            # the rename is durable only once the directory entry is on disk
-            dir_fd = os.open(self.data_dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            fsync_directory(self.data_dir)  # makes the rename durable
 
     def _recover(self) -> None:
         """Rebuild state from channels.json plus each channel's entry log."""

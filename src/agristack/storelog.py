@@ -25,6 +25,16 @@ class CorruptLogError(RuntimeError):
         self.offset = offset
 
 
+def fsync_directory(path: Path) -> None:
+    """Make the entries of directory `path` durable: a file created or
+    renamed there survives a power loss only once this returns."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class RecordLog:
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
@@ -33,7 +43,10 @@ class RecordLog:
 
     def _handle(self):
         if self._fh is None or self._fh.closed:
+            created = not self.path.exists()
             self._fh = open(self.path, "ab")
+            if created and self.fsync:
+                fsync_directory(self.path.parent)
         return self._fh
 
     def append(self, payload: bytes) -> None:

@@ -167,6 +167,16 @@ def test_watch_alerts_prints_exactly_one_line_per_episode(http_server, capsys):
     assert lines[0].startswith("2024-12-15T10:00:02Z")
 
 
+def test_watch_alerts_names_entries_beyond_one_poll(memory_service, http_server, capsys):
+    for _ in range(8005):
+        memory_service.update(WRITE_KEY, {1: "22.0"})
+    code, out, err = run_cli(capsys, "watch-alerts", "--endpoint",
+                             http_server.endpoint, "--max-polls", "1", "--poll", "0")
+    assert code == 0
+    assert out == ""
+    assert err == "warning: entries 1..5 not evaluated\n"
+
+
 def test_watch_alerts_quiet_on_normal_stream(http_server, capsys):
     seed_entries(http_server, BASIC_ROWS)
     code, out, _ = run_cli(capsys, "watch-alerts", "--endpoint",

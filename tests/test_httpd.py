@@ -1,11 +1,18 @@
 """Wire-protocol conformance against a live HTTP server."""
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
+from datetime import datetime, timedelta, timezone
 
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agristack import httpd
+from agristack.service import ChannelService, format_timestamp
 from tests.conftest import WRITE_KEY
 
 GOLDEN_FEEDS_BODY = (
@@ -202,3 +209,58 @@ def test_stop_returns_without_waiting_out_the_stdlib_poll(memory_service):
     elapsed = time.perf_counter() - started
     assert elapsed < 0.25, f"start() then stop() took {elapsed:.2f}s"
     assert not server._thread.is_alive()
+
+
+def test_idle_connection_is_closed(http_server, monkeypatch):
+    assert httpd._Handler.timeout is not None  # shipped: idle clients are dropped
+    monkeypatch.setattr(httpd._Handler, "timeout", 0.2)
+    with socket.create_connection((http_server.host, http_server.port), timeout=5) as idle:
+        started = time.perf_counter()
+        assert idle.recv(1) == b""      # the server closed it without a reply
+        elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"idle connection held for {elapsed:.2f}s"
+
+
+# -- feeds_body against the dict-and-json.dumps rendering it replaced ---------
+
+def reference_feeds_body(page, only_field=None) -> str:
+    def wanted(k):
+        return only_field is None or k == only_field
+
+    channel = {"id": page.channel.id, "name": page.channel.name}
+    channel.update({f"field{k}": page.channel.fields[k]
+                    for k in sorted(page.channel.fields) if wanted(k)})
+    feeds = []
+    for e in page.entries:
+        doc = {"created_at": format_timestamp(e.created_at), "entry_id": e.entry_id}
+        doc.update({f"field{k}": e.fields.get(k)
+                    for k in sorted(page.channel.fields) if wanted(k)})
+        feeds.append(doc)
+    return json.dumps({"channel": channel, "feeds": feeds}, separators=(",", ":"))
+
+
+decimals = st.one_of(st.integers().map(str),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.sampled_from(["030.50", ".5", "5.", "+1", "-0", "1E-3"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(declared=st.sets(st.integers(1, 8), min_size=1, max_size=8),
+       rows=st.lists(st.tuples(st.integers(0, 100000),
+                               st.dictionaries(st.integers(1, 8), decimals, min_size=1)),
+                     max_size=12),
+       results=st.integers(0, 14),
+       data=st.data())
+def test_feeds_body_matches_reference_rendering(declared, rows, results, data):
+    # rows may leave declared fields out and carry undeclared ones
+    service = ChannelService()
+    service.create_channel("st\u00e5tion \"n\"", {k: f"L{k}" for k in declared},
+                           write_key=WRITE_KEY, rate_limit_s=0.0)
+    at = datetime(2024, 12, 15, tzinfo=timezone.utc)
+    for step, values in rows:
+        at += timedelta(seconds=step)
+        service.update(WRITE_KEY, values, created_at=at)
+    only_field = data.draw(st.one_of(st.none(), st.sampled_from(sorted(declared))))
+    for _ in range(2):  # the second read comes from the memo
+        page = service.read_feeds(1, results=results)
+        assert httpd.feeds_body(page, only_field) == reference_feeds_body(page, only_field)

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 import threading
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agristack.service import (AuthError, BadRequestError, Channel,
+from agristack import service as service_module
+from agristack.httpd import feeds_body
+from agristack.service import (MAX_RESULTS, AuthError, BadRequestError, Channel,
                                ChannelService, UnknownChannelError,
-                               format_timestamp, parse_timestamp)
+                               format_timestamp, parse_timestamp, render_entry)
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 
 T = lambda s: parse_timestamp(s)  # noqa: E731
@@ -280,5 +285,99 @@ def test_concurrent_writers_get_gapless_ids(clock):
 def test_timestamp_roundtrip():
     ts = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
     assert parse_timestamp(format_timestamp(ts)) == ts
-    with pytest.raises(BadRequestError):
-        parse_timestamp("2024-12-15 10:00:00")
+    assert format_timestamp(parse_timestamp("2025-01-01T00:00:00Z")) == "2025-01-01T00:00:00Z"
+    assert parse_timestamp("2025-01-01T00:00:00Z").tzinfo == timezone.utc
+    for bad in ("2024-12-15 10:00:00", "2025-1-1T00:00:00Z", "2025-01-01T00:00:00+00:00",
+                "2025-13-01T00:00:00Z", "2025-01-01T00:00:00Z "):
+        with pytest.raises(BadRequestError):
+            parse_timestamp(bad)
+
+
+def test_field_values_must_be_ascii_decimals_in_full(memory_service):
+    # each would be written into feed bodies unescaped if it were stored
+    for bad in ("1\n", "1 ", "\u0663", "1\u0663"):
+        with pytest.raises(BadRequestError):
+            memory_service.update(WRITE_KEY, {1: bad})
+    assert memory_service.read_feeds(1).entries == ()
+
+
+# -- windowed reads and the rendered-entry memo -------------------------------
+
+BASE = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets=st.lists(st.integers(0, 5), max_size=30),
+       results=st.one_of(st.none(), st.integers(0, 35)),
+       start=st.one_of(st.none(), st.integers(-1, 40)),
+       end=st.one_of(st.none(), st.integers(-1, 40)))
+def test_read_feeds_matches_brute_force_filter(offsets, results, start, end):
+    # small steps, many zero, so runs of equal created_at are common
+    service = ChannelService()
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    at = lambda s: BASE + timedelta(seconds=s)  # noqa: E731
+    written = []
+    t = 0
+    for step in offsets:
+        t += step
+        written.append((service.update(WRITE_KEY, {1: str(t)}, created_at=at(t)), at(t)))
+
+    page = service.read_feeds(1, results=results,
+                              start=None if start is None else at(start),
+                              end=None if end is None else at(end))
+
+    want = [(i, ts) for i, ts in written
+            if (start is None or ts >= at(start)) and (end is None or ts <= at(end))]
+    n = MAX_RESULTS if results is None else results
+    want = want[max(0, len(want) - n):]
+    assert [(e.entry_id, e.created_at) for e in page.entries] == want
+    assert page.wire == tuple(render_entry(e, [1, 2, 3, 4]) for e in page.entries)
+
+
+def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
+    for i in range(50):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
+    rendered = []
+
+    def counting_render(entry, keys):
+        rendered.append(entry.entry_id)
+        return render_entry(entry, keys)
+
+    monkeypatch.setattr(service_module, "render_entry", counting_render)
+    first = feeds_body(memory_service.read_feeds(1, results=40))
+    second = feeds_body(memory_service.read_feeds(1, results=40))
+    assert first == second
+    assert rendered == list(range(11, 51))
+
+
+def test_concurrent_reads_and_writes_see_consistent_pages(clock):
+    service = ChannelService(clock=clock)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    problems: list[str] = []
+
+    def writer():
+        for i in range(300):
+            service.update(WRITE_KEY, {1: f"{i}.0", 3: "1"})
+
+    def reader():
+        for _ in range(150):
+            page = service.read_feeds(1, results=50)
+            ids = [e.entry_id for e in page.entries]
+            if ids and ids != list(range(ids[0], ids[-1] + 1)):
+                problems.append(f"ids not contiguous: {ids}")
+            if page.wire != tuple(render_entry(e, [1, 2, 3, 4]) for e in page.entries):
+                problems.append("wire differs from its entries")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=f) for f in (writer, writer, reader, reader, reader)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+    assert service.read_feeds(1, results=1).entries[0].entry_id == 600

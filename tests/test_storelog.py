@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import pytest
@@ -85,3 +87,29 @@ def test_oversized_record_rejected_on_append(tmp_path):
     log = RecordLog(tmp_path / "chan.log", fsync=False)
     with pytest.raises(ValueError):
         log.append(b"x" * ((1 << 20) + 1))
+
+
+def _record_fsyncs(monkeypatch):
+    """Replace os.fsync with a recorder of whether each fd is a directory."""
+    calls = []
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: calls.append(stat.S_ISDIR(os.fstat(fd).st_mode)))
+    return calls
+
+
+def test_creating_the_log_fsyncs_its_directory_once(tmp_path, monkeypatch):
+    calls = _record_fsyncs(monkeypatch)
+    log = RecordLog(tmp_path / "chan.log", fsync=True)
+    log.append(b"one")
+    log.append(b"two")
+    log.close()
+    log.append(b"three")  # reopens the existing file
+    log.close()
+    # the directory entry of the new file before the first record is synced
+    assert calls == [True, False, False, False]
+
+
+def test_log_without_fsync_makes_no_fsync_call(tmp_path, monkeypatch):
+    calls = _record_fsyncs(monkeypatch)
+    make_log(tmp_path, [b"one", b"two"], fsync=False)
+    assert calls == []
