@@ -25,6 +25,7 @@ import json
 import logging
 import re
 import threading
+from collections.abc import Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -52,14 +53,45 @@ def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     return doc
 
 
+def render_entry(entry: svc.FeedEntry, keys: Iterable[int]) -> str:
+    """`entry` as the compact JSON object a feed body lists, fields `keys` in
+    the given order, null where the entry has no value.
+
+    Byte-identical to `json.dumps` of the same dict with separators (",", ":"):
+    the timestamp and every value written through `update` (svc.NUMBER_RE)
+    hold no character JSON escapes. Others, recovered from logs written
+    before that check, go through `json.dumps`.
+    """
+    parts = [f'{{"created_at":"{svc.format_timestamp(entry.created_at)}",'
+             f'"entry_id":{entry.entry_id}']
+    for k in keys:
+        value = entry.fields.get(k)
+        if value is None:
+            parts.append(f',"field{k}":null')
+        elif svc.NUMBER_RE.fullmatch(value):
+            parts.append(f',"field{k}":"{value}"')
+        else:
+            parts.append(f',"field{k}":{json.dumps(value)}')
+    parts.append("}")
+    return "".join(parts)
+
+
 def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
     header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
     if only_field is None:
-        feeds = page.wire
+        # Two threads racing on one entry store equal strings.
+        keys = sorted(page.channel.fields)
+        memo = page.rendered
+        feeds = []
+        for entry in page.entries:
+            text = memo.get(entry.entry_id)
+            if text is None:
+                text = memo[entry.entry_id] = render_entry(entry, keys)
+            feeds.append(text)
     else:
         # [only_field], or no field if the channel lacks it, as in channel_doc
         keys = [k for k in page.channel.fields if k == only_field]
-        feeds = [svc.render_entry(e, keys) for e in page.entries]
+        feeds = [render_entry(e, keys) for e in page.entries]
     return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .storelog import RecordLog, fsync_directory
 
@@ -30,8 +30,8 @@ MAX_FIELDS = 8
 MAX_RESULTS = 8000
 DEFAULT_RATE_LIMIT_S = 15.0
 
-# ASCII only and matched in full, so a stored value needs no JSON escaping
-_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# ASCII only and matched in full, so a written value needs no JSON escaping
+NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # TIMESTAMP_FMT's zero-padded form, as a pattern
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 _CREATED_AT = attrgetter("created_at")
@@ -64,7 +64,9 @@ def format_timestamp(ts: datetime) -> str:
 def parse_timestamp(text: str) -> datetime:
     if _TIMESTAMP_RE.fullmatch(text):
         try:
-            return datetime.fromisoformat(text)  # reads the trailing Z as UTC
+            # fromisoformat reads a trailing Z only from 3.11; an offset it reads
+            # on 3.10 too, and it is faster than replace(tzinfo=...)
+            return datetime.fromisoformat(text[:-1] + "+00:00")
         except ValueError:  # a field out of range, such as month 13
             pass
     raise BadRequestError(f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form")
@@ -79,23 +81,6 @@ class FeedEntry:
     entry_id: int
     created_at: datetime
     fields: Mapping[int, str]
-
-
-def render_entry(entry: FeedEntry, keys: Iterable[int]) -> str:
-    """`entry` as the compact JSON object a feed body lists, fields `keys`
-    in the given order, null where the entry has no value.
-
-    Byte-identical to `json.dumps` of the same dict with separators
-    (",", ":"): the timestamp and the stored values (see _NUMBER_RE) hold no
-    character JSON escapes.
-    """
-    parts = [f'{{"created_at":"{format_timestamp(entry.created_at)}",'
-             f'"entry_id":{entry.entry_id}']
-    for k in keys:
-        value = entry.fields.get(k)
-        parts.append(f',"field{k}":null' if value is None else f',"field{k}":"{value}"')
-    parts.append("}")
-    return "".join(parts)
 
 
 @dataclass
@@ -125,15 +110,16 @@ class Channel:
 class FeedPage:
     channel: Channel
     entries: tuple[FeedEntry, ...]
-    wire: tuple[str, ...]       # render_entry of each entry, all channel fields
+    rendered: dict[int, str]    # the channel's memo; see _ChannelState
 
 
 @dataclass
 class _ChannelState:
     meta: Channel
     entries: list[FeedEntry] = field(default_factory=list)
-    # render_entry output by entry_id, filled on an entry's first read
-    wire: dict[int, str] = field(default_factory=dict)
+    # each entry's JSON for a full-channel feed body, by entry_id: filled by
+    # httpd.feeds_body on the entry's first read, outside the lock
+    rendered: dict[int, str] = field(default_factory=dict)
     log: RecordLog | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_accept: datetime | None = None
@@ -151,7 +137,7 @@ def _validate_field_values(values: Mapping[int, str]) -> dict[int, str]:
         if not 1 <= index <= MAX_FIELDS:
             raise BadRequestError(f"field index {k} outside 1..{MAX_FIELDS}")
         text = str(v)
-        if not _NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
+        if not NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
             raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
         cleaned[index] = text
     return cleaned
@@ -266,17 +252,14 @@ class ChannelService:
             hi = (len(entries) if end is None
                   else bisect_right(entries, end, key=_CREATED_AT))
             window = tuple(entries[max(lo, hi - n):hi])
-        # Rendered outside the lock so a write never waits on a first read;
-        # two readers racing on one entry store equal strings.
-        keys = sorted(state.meta.fields)
-        memo = state.wire
-        wire = []
-        for entry in window:
-            text = memo.get(entry.entry_id)
-            if text is None:
-                text = memo[entry.entry_id] = render_entry(entry, keys)
-            wire.append(text)
-        return FeedPage(state.meta, window, tuple(wire))
+            if len(state.rendered) > 2 * MAX_RESULTS:
+                # keep the newest MAX_RESULTS, the window polls repeat; copy()
+                # is atomic where iterating would race a reader's insert
+                floor = len(entries) - MAX_RESULTS
+                state.rendered = {k: v for k, v in state.rendered.copy().items()
+                                  if k > floor}
+            rendered = state.rendered
+        return FeedPage(state.meta, window, rendered)
 
     # -- persistence --------------------------------------------------------
 

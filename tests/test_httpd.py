@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agristack import httpd
-from agristack.service import ChannelService, format_timestamp
+from agristack.service import ChannelService, FeedEntry, _encode_entry, format_timestamp
+from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
 
 GOLDEN_FEEDS_BODY = (
@@ -237,6 +238,28 @@ def reference_feeds_body(page, only_field=None) -> str:
                     for k in sorted(page.channel.fields) if wanted(k)})
         feeds.append(doc)
     return json.dumps({"channel": channel, "feeds": feeds}, separators=(",", ":"))
+
+
+def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
+    # update now refuses these, but logs written before it checked values in
+    # full can hold them, and recovery keeps them as they were
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    service.create_channel("c", ["A", "B", "C"], write_key=WRITE_KEY, rate_limit_s=0.0)
+    service.close()
+    log = RecordLog(tmp_path / "channel_1.log", fsync=False)
+    at = datetime(2024, 12, 15, tzinfo=timezone.utc)
+    log.append(_encode_entry(FeedEntry(1, at, {1: "1\n", 2: "\u0663", 3: "2.5"})))
+    log.close()
+
+    revived = ChannelService(data_dir=tmp_path, fsync=False)
+    try:
+        for only_field in (None, None, 1, 2):  # the second full read is memoized
+            page = revived.read_feeds(1)
+            body = httpd.feeds_body(page, only_field)
+            assert body == reference_feeds_body(page, only_field)
+            assert json.loads(body)["feeds"][0].get("field1", "1\n") == "1\n"
+    finally:
+        revived.close()
 
 
 decimals = st.one_of(st.integers().map(str),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import stat
 import sys
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agristack import httpd
 from agristack import service as service_module
 from agristack.httpd import feeds_body
 from agristack.service import (MAX_RESULTS, AuthError, BadRequestError, Channel,
                                ChannelService, UnknownChannelError,
-                               format_timestamp, parse_timestamp, render_entry)
+                               format_timestamp, parse_timestamp)
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 
 T = lambda s: parse_timestamp(s)  # noqa: E731
@@ -331,7 +333,6 @@ def test_read_feeds_matches_brute_force_filter(offsets, results, start, end):
     n = MAX_RESULTS if results is None else results
     want = want[max(0, len(want) - n):]
     assert [(e.entry_id, e.created_at) for e in page.entries] == want
-    assert page.wire == tuple(render_entry(e, [1, 2, 3, 4]) for e in page.entries)
 
 
 def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
@@ -339,15 +340,31 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
         memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
     rendered = []
 
+    render_entry = httpd.render_entry
+
     def counting_render(entry, keys):
         rendered.append(entry.entry_id)
         return render_entry(entry, keys)
 
-    monkeypatch.setattr(service_module, "render_entry", counting_render)
+    monkeypatch.setattr(httpd, "render_entry", counting_render)
     first = feeds_body(memory_service.read_feeds(1, results=40))
     second = feeds_body(memory_service.read_feeds(1, results=40))
     assert first == second
     assert rendered == list(range(11, 51))
+
+
+def test_rendered_memo_keeps_the_newest_window_and_stays_bounded(memory_service,
+                                                                monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 10)
+    at = lambda s: BASE + timedelta(seconds=s)  # noqa: E731
+    for i in range(1, 101):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5"}, created_at=at(i))
+    feeds_body(memory_service.read_feeds(1))  # the newest ten, 91..100
+    for i in range(10, 86, 5):  # older windows, enough to force sweeps
+        page = memory_service.read_feeds(1, end=at(i))
+        feeds_body(page)
+        assert len(page.rendered) <= 3 * 10  # 2 x MAX_RESULTS, then one window
+    assert set(range(91, 101)) <= set(page.rendered)
 
 
 def test_concurrent_reads_and_writes_see_consistent_pages(clock):
@@ -365,8 +382,10 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
             ids = [e.entry_id for e in page.entries]
             if ids and ids != list(range(ids[0], ids[-1] + 1)):
                 problems.append(f"ids not contiguous: {ids}")
-            if page.wire != tuple(render_entry(e, [1, 2, 3, 4]) for e in page.entries):
-                problems.append("wire differs from its entries")
+            body = json.loads(feeds_body(page))["feeds"]
+            if [(d["entry_id"], d["field1"]) for d in body] != [
+                    (e.entry_id, e.fields[1]) for e in page.entries]:
+                problems.append("body differs from its entries")
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
