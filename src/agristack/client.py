@@ -8,10 +8,14 @@ on the client behaves identically in either mode.
 from __future__ import annotations
 
 import json
+import select
+import weakref
+from base64 import b64encode
 from datetime import datetime
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Mapping
-
-import requests
+from urllib.parse import unquote, urlencode, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from . import httpd
 from .service import (AuthError, BadRequestError, ChannelService,
@@ -28,38 +32,70 @@ class RateLimited(Exception):
     """The service accepted the request but rejected the write ("0" body)."""
 
 
-def _endpoint_session(endpoint: str) -> requests.Session:
-    """A session for requests to `endpoint` alone, with the proxy, netrc and
-    CA bundle settings of the environment read once, here.
-
-    With `trust_env` on, requests reads them on every request by walking
-    `os.environ`: about 0.4 ms of a 2.3 ms loopback write on a 2-vCPU VM,
-    and the part of it whose time varies most. They depend only on the
-    scheme and host, which every request of one client shares.
-    """
-    session = requests.Session()
-    env = session.merge_environment_settings(endpoint, {}, None, None, None)
-    session.proxies = env["proxies"]
-    session.verify = env["verify"]
-    session.auth = requests.utils.get_netrc_auth(endpoint)
-    session.trust_env = False
-    return session
+def _connection(endpoint: str) -> tuple[HTTPConnection, str, dict[str, str]]:
+    """An unopened connection to `endpoint`, the prefix of each request
+    target and the headers each request carries, with the proxy settings of
+    the environment applied. Raises ValueError for a URL it cannot use."""
+    url = urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError("not an http:// or https:// URL")
+    connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+    port = url.port or connection.default_port
+    proxies = getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(f"{url.hostname}:{port}"):
+        return connection(url.hostname, port, timeout=TIMEOUT_S), url.path, {}
+    proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if proxy_url.username is not None:
+        creds = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+        headers["Proxy-Authorization"] = f"Basic {b64encode(creds.encode()).decode()}"
+    conn = connection(proxy_url.hostname, proxy_url.port or 80, timeout=TIMEOUT_S)
+    if url.scheme == "http":
+        return conn, endpoint, headers  # absolute-form targets, to the proxy
+    conn.set_tunnel(url.hostname, port, headers=headers)
+    return conn, url.path, {}
 
 
 class HttpServiceClient:
+    """A client on one keep-alive connection to `endpoint`, for one thread at
+    a time.
+
+    The proxy settings of the environment are read once, here. A request that
+    fails once sent is not sent again, since `/update` is not idempotent: the
+    connection is closed, `ServiceUnavailable` is raised, and the next call
+    connects afresh.
+    """
+
     def __init__(self, endpoint: str, write_key: str | None = None,
                  read_key: str | None = None):
         self.endpoint = endpoint.rstrip("/")
         self.write_key = write_key
         self.read_key = read_key
-        self._session = _endpoint_session(self.endpoint)
-
-    def _get(self, path: str, params: dict) -> requests.Response:
         try:
-            return self._session.get(f"{self.endpoint}{path}", params=params,
-                                     timeout=TIMEOUT_S)
-        except requests.RequestException as exc:
-            raise ServiceUnavailable(str(exc)) from exc
+            self._conn, self._prefix, self._headers = _connection(self.endpoint)
+        except ValueError as exc:  # includes a port that is not a number in range
+            raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
+        # The socket goes with the client, as a pooled one would with its pool.
+        weakref.finalize(self, self._conn.close)
+
+    def _get(self, path: str, params: dict) -> tuple[int, str]:
+        """GET `path` with the non-None `params`: (status, body as text)."""
+        query = urlencode({k: v for k, v in params.items() if v is not None})
+        target = f"{self._prefix}{path}?{query}" if query else f"{self._prefix}{path}"
+        conn = self._conn
+        try:
+            # The server sends nothing unasked, so a readable idle socket
+            # holds the EOF of a server that closed it (its idle timeout).
+            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+            conn.request("GET", target, headers=self._headers)
+            resp = conn.getresponse()
+            body = resp.read()
+        except (OSError, HTTPException) as exc:
+            conn.close()
+            raise ServiceUnavailable(f"{self.endpoint}: {exc!r}") from exc
+        return resp.status, body.decode("utf-8")
 
     def update(self, values: Mapping[int, str],
                created_at: datetime | None = None) -> int:
@@ -68,50 +104,40 @@ class HttpServiceClient:
             params[f"field{k}"] = v
         if created_at is not None:
             params["created_at"] = format_timestamp(created_at)
-        resp = self._get("/update", params)
-        if resp.status_code == 401:
+        status, text = self._get("/update", params)
+        if status == 401:
             raise AuthError("write key rejected")
-        if resp.status_code == 400:
-            raise BadRequestError(resp.text)
-        if resp.status_code != 200:
-            raise ServiceUnavailable(f"unexpected status {resp.status_code}")
-        if resp.text == "0":
+        if status == 400:
+            raise BadRequestError(text)
+        if status != 200:
+            raise ServiceUnavailable(f"unexpected status {status}")
+        if text == "0":
             raise RateLimited("write rejected by rate limit")
-        return int(resp.text)
+        return int(text)
 
     def read_feeds(self, channel_id: int, results: int | None = None,
                    start: str | None = None, end: str | None = None) -> dict:
-        params: dict = {}
-        if results is not None:
-            params["results"] = results
-        if start is not None:
-            params["start"] = start
-        if end is not None:
-            params["end"] = end
-        if self.read_key is not None:
-            params["api_key"] = self.read_key
-        resp = self._get(f"/channels/{channel_id}/feeds.json", params)
-        return self._feed_response(resp, channel_id)
+        params = {"results": results, "start": start, "end": end,
+                  "api_key": self.read_key}
+        return self._feed(f"/channels/{channel_id}/feeds.json", params, channel_id)
 
     def read_field(self, channel_id: int, field_index: int,
                    results: int | None = None) -> dict:
-        params: dict = {}
-        if results is not None:
-            params["results"] = results
-        if self.read_key is not None:
-            params["api_key"] = self.read_key
-        resp = self._get(f"/channels/{channel_id}/fields/{field_index}.json", params)
-        return self._feed_response(resp, channel_id)
+        params = {"results": results, "api_key": self.read_key}
+        return self._feed(f"/channels/{channel_id}/fields/{field_index}.json",
+                          params, channel_id)
 
-    @staticmethod
-    def _feed_response(resp: requests.Response, channel_id: int) -> dict:
-        if resp.status_code == 404:
+    def _feed(self, path: str, params: dict, channel_id: int) -> dict:
+        status, text = self._get(path, params)
+        if status == 404:
             raise UnknownChannelError(f"channel {channel_id} not found")
-        if resp.status_code == 401:
+        if status == 401:
             raise AuthError("read key rejected")
-        if resp.status_code != 200:
-            raise ServiceUnavailable(f"unexpected status {resp.status_code}")
-        return resp.json()
+        if status == 400:
+            raise BadRequestError(json.loads(text)["error"])
+        if status != 200:
+            raise ServiceUnavailable(f"unexpected status {status}")
+        return json.loads(text)
 
 
 class LocalServiceClient:

@@ -64,9 +64,7 @@ def format_timestamp(ts: datetime) -> str:
 def parse_timestamp(text: str) -> datetime:
     if _TIMESTAMP_RE.fullmatch(text):
         try:
-            # fromisoformat reads a trailing Z only from 3.11; an offset it reads
-            # on 3.10 too, and it is faster than replace(tzinfo=...)
-            return datetime.fromisoformat(text[:-1] + "+00:00")
+            return datetime.fromisoformat(text)
         except ValueError:  # a field out of range, such as month 13
             pass
     raise BadRequestError(f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form")

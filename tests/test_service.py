@@ -178,6 +178,7 @@ def test_recovery_restores_entries_and_next_id(tmp_path, clock):
     assert [e.entry_id for e in page.entries] == list(range(1, 11))
     assert [e.fields[1] for e in page.entries] == [f"{i}.5" for i in range(10)]
     assert revived.update(WRITE_KEY, {1: "10.5"}) == 11
+    revived.close()
 
 
 def test_recovery_discards_torn_final_record(tmp_path, clock):
@@ -195,6 +196,7 @@ def test_recovery_discards_torn_final_record(tmp_path, clock):
     page = revived.read_feeds(1)
     assert [e.entry_id for e in page.entries] == list(range(1, 10))
     assert revived.update(WRITE_KEY, {1: "9.5"}) == 10  # continues without gaps
+    revived.close()
 
 
 def test_recovery_of_empty_data_dir(tmp_path, clock):
