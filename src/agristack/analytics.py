@@ -16,6 +16,8 @@ from . import sensors
 
 HIGH_TEMP_MESSAGE = "Temperature is high, consider cooling measures"
 LOW_MOISTURE_MESSAGE = "Soil moisture is low, consider irrigation"
+HIGH_TEMP_C = 35.0          # above this the air is too hot
+LOW_MOISTURE_PCT = 20.0     # below this the soil is too dry
 
 
 class RulesError(ValueError):
@@ -100,8 +102,8 @@ AlertRuleSet = Sequence[AlertRule]
 
 def default_rules() -> list[AlertRule]:
     return [
-        AlertRule("high_temp", "temperature", ">", 35.0, 3, HIGH_TEMP_MESSAGE),
-        AlertRule("low_moisture", "moisture", "<", 20.0, 3, LOW_MOISTURE_MESSAGE),
+        AlertRule("high_temp", "temperature", ">", HIGH_TEMP_C, 3, HIGH_TEMP_MESSAGE),
+        AlertRule("low_moisture", "moisture", "<", LOW_MOISTURE_PCT, 3, LOW_MOISTURE_MESSAGE),
     ]
 
 
@@ -220,7 +222,7 @@ class IrrigationCommand:
     at: datetime | None = None
 
 
-def irrigation_decide(rain: int, moisture: float, floor: float = 20.0,
+def irrigation_decide(rain: int, moisture: float, floor: float = LOW_MOISTURE_PCT,
                       ceiling: float = 40.0, at: datetime | None = None) -> IrrigationCommand:
     """Rain-gated irrigation rule with a hysteresis band.
 

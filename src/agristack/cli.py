@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from itertools import count
 
 import click
@@ -34,63 +33,42 @@ TABLE_COLUMNS = tuple(sensors.BY_NAME[n] for n in ("temperature", "moisture", "p
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 
-@dataclass
-class Settings:
-    endpoint: str | None
-    channel: int
-    results: int
-    scenario: str
-    speed: str
-    rules: str | None
+# Flags shared by the group and the commands: name -> (default, metavar, help)
+SHARED_FLAGS = {
+    "endpoint": (None, "URL", "Channel service base URL (default: self-contained "
+                              f"for 'run', {DEFAULT_ENDPOINT} otherwise)."),
+    "channel": (1, None, "Channel id."),
+    "results": (20, None, "Number of feed entries to fetch."),
+    "scenario": ("paper_hour", None, "Bundled scenario name or scenario file path."),
+    "speed": ("max", None, "Time acceleration factor, or 'max' for no pacing."),
+    "rules": (None, "PATH", "Alert rules file (default: built-in rules)."),
+}
 
-    def endpoint_or_default(self) -> str:
-        return self.endpoint or DEFAULT_ENDPOINT
+
+def _group_value(ctx, param, value):
+    return ctx.obj[param.name] if value is None else value
 
 
-def _global_options(command):
-    """Shared flags, accepted both before and after the subcommand name."""
-    for option in reversed([
-        click.option("--endpoint", default=None, metavar="URL",
-                     help="Channel service base URL (default: self-contained "
-                          f"for 'run', {DEFAULT_ENDPOINT} otherwise)."),
-        click.option("--channel", default=None, type=int, help="Channel id."),
-        click.option("--results", default=None, type=int,
-                     help="Number of feed entries to fetch."),
-        click.option("--scenario", default=None,
-                     help="Bundled scenario name or scenario file path."),
-        click.option("--speed", default=None,
-                     help="Time acceleration factor, or 'max' for no pacing."),
-        click.option("--rules", default=None, metavar="PATH",
-                     help="Alert rules file (default: built-in rules)."),
-    ]):
-        command = option(command)
-    return command
+def _shared_flags(*names: str, group: bool = False):
+    """Declare the named shared flags. On a command they default to the
+    group's value, so a flag after the command name wins over one before it."""
+    def decorate(f):
+        for name in reversed(names):
+            default, metavar, help_text = SHARED_FLAGS[name]
+            f = click.option(f"--{name}", default=default if group else None,
+                             type=str if default is None else type(default),
+                             metavar=metavar, help=help_text,
+                             callback=None if group else _group_value)(f)
+        return f
+    return decorate
 
 
 @click.group()
-@_global_options
+@_shared_flags(*SHARED_FLAGS, group=True)
 @click.pass_context
-def cli(ctx, endpoint, channel, results, scenario, speed, rules):
+def cli(ctx, **flags):
     """Desk-scale smart-agriculture telemetry stack."""
-    ctx.obj = Settings(endpoint, channel or 1, results if results is not None else 20,
-                       scenario or "paper_hour", speed or "max", rules)
-
-
-def _merge(settings: Settings, endpoint, channel, results, scenario, speed, rules) -> Settings:
-    return Settings(
-        endpoint if endpoint is not None else settings.endpoint,
-        channel if channel is not None else settings.channel,
-        results if results is not None else settings.results,
-        scenario if scenario is not None else settings.scenario,
-        speed if speed is not None else settings.speed,
-        rules if rules is not None else settings.rules,
-    )
-
-
-def _load_rules(settings: Settings) -> list[analytics.AlertRule]:
-    if settings.rules is None:
-        return analytics.default_rules()
-    return analytics.load_rules(settings.rules)
+    ctx.obj = flags
 
 
 def _parse_speed(speed: str) -> float | str:
@@ -119,8 +97,7 @@ def _parse_speed(speed: str) -> float | str:
 @click.option("--write-key", default=DEFAULT_WRITE_KEY, show_default=True)
 @click.option("--read-key", default=None)
 @click.option("--name", default="field-station", show_default=True)
-@click.pass_obj
-def serve(settings, host, port, data_dir, rate_limit, write_key, read_key, name):
+def serve(host, port, data_dir, rate_limit, write_key, read_key, name):
     """Start the channel service and block until interrupted."""
     service = ChannelService(data_dir=data_dir)
     if not service.channels():
@@ -162,7 +139,7 @@ def _summarize_feeds(feeds: list[dict]) -> list[str]:
 
 
 @cli.command()
-@_global_options
+@_shared_flags("endpoint", "channel", "scenario", "speed")
 @click.option("--write-key", default=DEFAULT_WRITE_KEY, show_default=True)
 @click.option("--data-dir", default=None,
               help="Persistence dir for the self-contained service "
@@ -171,21 +148,18 @@ def _summarize_feeds(feeds: list[dict]) -> list[str]:
               help="Re-plan the rain sensor's power from the pressure forecast.")
 @click.option("--epoch", default=None, metavar="YYYY-MM-DDTHH:MM:SSZ",
               help="Timestamp of the first sample (default 2024-12-15T10:00:00Z).")
-@click.pass_obj
-def run(settings, endpoint, channel, results, scenario, speed, rules,
-        write_key, data_dir, duty_cycle, epoch):
+def run(endpoint, channel, scenario, speed, write_key, data_dir, duty_cycle, epoch):
     """Replay a scenario through the gateway into the channel service.
 
     With --endpoint, publishes to a running service; otherwise a
     self-contained service (rate limit 0) is created for the run.
     """
-    settings = _merge(settings, endpoint, channel, results, scenario, speed, rules)
-    spec = resolve_scenario(settings.scenario)
-    speed = _parse_speed(settings.speed)
+    spec = resolve_scenario(scenario)
+    speed = _parse_speed(speed)
     epoch_dt = parse_timestamp(epoch) if epoch else pipeline.DEFAULT_EPOCH
 
-    if settings.endpoint is not None:
-        client = HttpServiceClient(settings.endpoint, write_key=write_key)
+    if endpoint is not None:
+        client = HttpServiceClient(endpoint, write_key=write_key)
         service = None
     else:
         service = ChannelService(data_dir=data_dir, fsync=False)
@@ -197,11 +171,11 @@ def run(settings, endpoint, channel, results, scenario, speed, rules,
     report = pipeline.run_pipeline(spec, client, epoch=epoch_dt,
                                    duty_cycle=duty_cycle, speed=speed)
 
-    click.echo(f"scenario {settings.scenario}: {report.cycles} cycles, "
+    click.echo(f"scenario {scenario}: {report.cycles} cycles, "
                f"{report.acknowledged} acknowledged, {report.queued} queued, "
                f"{report.drops} dropped, {report.skipped} skipped")
     try:
-        feeds = client.read_feeds(settings.channel, results=8000)["feeds"]
+        feeds = client.read_feeds(channel, results=8000)["feeds"]
     except (UnknownChannelError, ServiceUnavailable):
         feeds = []
     if feeds:
@@ -218,13 +192,11 @@ def run(settings, endpoint, channel, results, scenario, speed, rules,
 
 
 @cli.command()
-@_global_options
-@click.pass_obj
-def table(settings, endpoint, channel, results, scenario, speed, rules):
+@_shared_flags("endpoint", "channel", "results")
+def table(endpoint, channel, results):
     """Render the channel's recent history as a fixed-width table."""
-    settings = _merge(settings, endpoint, channel, results, scenario, speed, rules)
-    client = HttpServiceClient(settings.endpoint_or_default())
-    doc = client.read_feeds(settings.channel, results=settings.results)
+    client = HttpServiceClient(endpoint or DEFAULT_ENDPOINT)
+    doc = client.read_feeds(channel, results=results)
     rows = []
     for entry in doc["feeds"]:
         row = [entry["created_at"]]
@@ -261,7 +233,7 @@ def _fmt_forecast(value: float) -> str:
 
 
 @cli.command()
-@_global_options
+@_shared_flags("endpoint", "channel", "results")
 @click.option("--field", "field_index", type=click.IntRange(1, 8), default=1,
               show_default=True, help="Channel field to export.")
 @click.option("--with-forecast", is_flag=True,
@@ -270,17 +242,14 @@ def _fmt_forecast(value: float) -> str:
               type=click.IntRange(1, 10_000), help="Forecast window (samples).")
 @click.option("--out", default=None, metavar="PATH",
               help="Write the CSV export here instead of stdout.")
-@click.pass_obj
-def plot(settings, endpoint, channel, results, scenario, speed, rules,
-         field_index, with_forecast, window, out):
+def plot(endpoint, channel, results, field_index, with_forecast, window, out):
     """Export one field as CSV (t,value[,forecast]) plus a terminal sparkline.
 
     The CSV goes to stdout (or --out); the sparkline goes to stderr so the
     export stays machine-readable.
     """
-    settings = _merge(settings, endpoint, channel, results, scenario, speed, rules)
-    client = HttpServiceClient(settings.endpoint_or_default())
-    doc = client.read_field(settings.channel, field_index, results=settings.results)
+    client = HttpServiceClient(endpoint or DEFAULT_ENDPOINT)
+    doc = client.read_field(channel, field_index, results=results)
     feeds = doc["feeds"]
     key = f"field{field_index}"
 
@@ -331,14 +300,12 @@ def _entry_to_reading(entry: dict):
 
 
 @cli.command("watch-alerts")
-@_global_options
+@_shared_flags("endpoint", "channel", "rules")
 @click.option("--poll", default=2.0, show_default=True,
               help="Seconds between feed polls.")
 @click.option("--max-polls", default=None, type=int,
               help="Stop after this many polls (default: run forever).")
-@click.pass_obj
-def watch_alerts(settings, endpoint, channel, results, scenario, speed, rules,
-                 poll, max_polls):
+def watch_alerts(endpoint, channel, rules, poll, max_polls):
     """Poll the channel and print one line per triggered alert.
 
     Existing history is replayed through the rules on the first poll, then
@@ -347,17 +314,16 @@ def watch_alerts(settings, endpoint, channel, results, scenario, speed, rules,
     drop out of the 8000-entry poll before it sees them are named on stderr
     as `warning: entries A..B not evaluated`.
     """
-    settings = _merge(settings, endpoint, channel, results, scenario, speed, rules)
-    rules = _load_rules(settings)
-    client = HttpServiceClient(settings.endpoint_or_default())
-    engine = analytics.AlertEngine(rules)
+    engine = analytics.AlertEngine(analytics.default_rules() if rules is None
+                                   else analytics.load_rules(rules))
+    client = HttpServiceClient(endpoint or DEFAULT_ENDPOINT)
     last_seen = 0
     outage_warned = False
     backoff = max(poll, 0.5)
 
     for poll_index in count():
         try:
-            doc = client.read_feeds(settings.channel, results=8000)
+            doc = client.read_feeds(channel, results=8000)
         except ServiceUnavailable as exc:
             if max_polls is not None:
                 raise

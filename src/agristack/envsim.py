@@ -18,9 +18,6 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator
 
-DEFAULT_TICK_S = 10.0
-DEFAULT_DURATION_S = 3600.0
-
 HEADER_KEYS = {
     "mode", "seed", "duration_s", "tick_s",
     "temp_min", "temp_max", "press_min", "press_max", "moist_min", "moist_max",
@@ -111,8 +108,8 @@ class EnvSample:
 class ScenarioSpec:
     mode: str
     seed: int = 0
-    duration_s: float = DEFAULT_DURATION_S
-    tick_s: float = DEFAULT_TICK_S
+    duration_s: float = 3600.0
+    tick_s: float = 10.0
     temperature: ParamRange = ParamRange(20.0, 40.0)
     pressure: ParamRange = ParamRange(1010.0, 1025.0)
     moisture: ParamRange = ParamRange(10.0, 50.0)
@@ -218,6 +215,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
         except ValueError:
             raise ScenarioParseError(f"bad numeric value for {key!r}", 1) from None
 
+    def frange(prefix: str, default: ParamRange) -> ParamRange:
+        return ParamRange(fnum(f"{prefix}_min", default.lo), fnum(f"{prefix}_max", default.hi))
+
     step = StepParams(
         noise_frac=fnum("noise_frac", StepParams.noise_frac),
         reversion=fnum("reversion", StepParams.reversion),
@@ -226,12 +226,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     )
     return ScenarioSpec(
         mode=headers["mode"],
-        seed=int(fnum("seed", 0)),
-        duration_s=fnum("duration_s", DEFAULT_DURATION_S),
-        tick_s=fnum("tick_s", DEFAULT_TICK_S),
-        temperature=ParamRange(fnum("temp_min", 20.0), fnum("temp_max", 40.0)),
-        pressure=ParamRange(fnum("press_min", 1010.0), fnum("press_max", 1025.0)),
-        moisture=ParamRange(fnum("moist_min", 10.0), fnum("moist_max", 50.0)),
+        seed=int(fnum("seed", ScenarioSpec.seed)),
+        duration_s=fnum("duration_s", ScenarioSpec.duration_s),
+        tick_s=fnum("tick_s", ScenarioSpec.tick_s),
+        temperature=frange("temp", ScenarioSpec.temperature),
+        pressure=frange("press", ScenarioSpec.pressure),
+        moisture=frange("moist", ScenarioSpec.moisture),
         script=tuple(rows),
         step_params=step,
     )

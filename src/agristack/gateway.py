@@ -17,7 +17,8 @@ from datetime import datetime, timedelta, timezone
 from typing import Callable, Mapping
 
 from . import adc
-from .analytics import AlertRuleSet, PowerSchedule, always_on
+from .analytics import (HIGH_TEMP_C, LOW_MOISTURE_PCT, AlertRuleSet, PowerSchedule,
+                        always_on)
 from .client import RateLimited, ServiceUnavailable
 from .envsim import EnvSample
 from .sensors import SENSORS
@@ -154,8 +155,8 @@ def render_lcd(reading: Reading) -> LcdFrame:
 
 def indicator_states(reading: Reading, rules: AlertRuleSet) -> dict[str, bool]:
     """LED panel: heat and dry thresholds come from the alert rules."""
-    heat_threshold = 35.0
-    moisture_floor = 20.0
+    heat_threshold = HIGH_TEMP_C
+    moisture_floor = LOW_MOISTURE_PCT
     for rule in rules:
         if rule.parameter == "temperature" and rule.comparator == ">":
             heat_threshold = rule.threshold

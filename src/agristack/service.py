@@ -17,7 +17,7 @@ import re
 import secrets
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -272,17 +272,7 @@ class ChannelService:
     def _save_registry(self) -> None:
         if self.data_dir is None:
             return
-        payload = {"channels": [
-            {
-                "id": s.meta.id,
-                "name": s.meta.name,
-                "write_key": s.meta.write_key,
-                "read_key": s.meta.read_key,
-                "fields": {str(k): v for k, v in sorted(s.meta.fields.items())},
-                "rate_limit_s": s.meta.rate_limit_s,
-            }
-            for s in self._channels.values()
-        ]}
+        payload = {"channels": [asdict(s.meta) for s in self._channels.values()]}
         tmp = self._registry_path().with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -300,14 +290,9 @@ class ChannelService:
             return
         spec = json.loads(registry.read_text(encoding="utf-8"))
         for item in spec["channels"]:
-            meta = Channel(
-                id=item["id"],
-                name=item["name"],
-                write_key=item["write_key"],
-                read_key=item.get("read_key"),
-                fields={int(k): v for k, v in item["fields"].items()},
-                rate_limit_s=item.get("rate_limit_s", DEFAULT_RATE_LIMIT_S),
-            )
+            # JSON object keys are strings; Channel's field indices are ints
+            fields = {int(k): v for k, v in item["fields"].items()}
+            meta = Channel(**{**item, "fields": fields})
             log = self._open_log(meta.id)
             entries = [_decode_entry(raw) for raw in log.replay()]
             for i, entry in enumerate(entries, start=1):

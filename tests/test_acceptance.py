@@ -262,6 +262,8 @@ def test_criterion_8_service_contract(tmp_path):
     entries = revived.read_feeds(1, results=8000).entries
     durable_ok = ([e.entry_id for e in entries] == list(range(1, 26))
                   and revived.update(WRITE_KEY, {1: "25.0"}) == 26)
+    revived.close()
+    service.close()
 
     # (b) rate limit: a write 5 s after an accepted one returns body "0"
     from tests.conftest import FakeClock

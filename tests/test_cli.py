@@ -3,10 +3,11 @@ from __future__ import annotations
 import csv
 import io
 
+import pytest
 import requests
 
 from agristack.analytics import evaluate_alerts, default_rules
-from agristack.cli import _entry_to_reading, main, sparkline
+from agristack.cli import _entry_to_reading, cli, main, sparkline
 from tests.conftest import WRITE_KEY
 
 
@@ -295,3 +296,85 @@ def test_usage_error_exit_code(capsys):
 def test_bad_speed_value(capsys):
     code, _, err = run_cli(capsys, "run", "--speed", "-2")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# shared flags
+
+
+SHARED = ("endpoint", "channel", "results", "scenario", "speed", "rules")
+READS = {
+    "run": ("endpoint", "channel", "scenario", "speed"),
+    "table": ("endpoint", "channel", "results"),
+    "plot": ("endpoint", "channel", "results"),
+    "watch-alerts": ("endpoint", "channel", "rules"),
+    "serve": (),
+}
+# two values per flag, as the command receives them; str() gives the argument
+VALUES = {
+    "endpoint": ("http://a.invalid", "http://b.invalid"),
+    "channel": (7, 8),
+    "results": (5, 6),
+    "scenario": ("one", "two"),
+    "speed": ("3", "4"),
+    "rules": ("a.rules", "b.rules"),
+}
+READ_PAIRS = [(c, f) for c, flags in READS.items() for f in flags]
+UNREAD_PAIRS = [(c, f) for c, flags in READS.items() for f in SHARED if f not in flags]
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """Swap each command's body for one that records the arguments it gets."""
+    calls: dict[str, dict] = {}
+    for name, command in cli.commands.items():
+        monkeypatch.setattr(command, "callback",
+                            lambda _name=name, **kwargs: calls.__setitem__(_name, kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("command,flag", READ_PAIRS)
+def test_shared_flag_is_read_before_or_after_the_name(received, command, flag):
+    value = VALUES[flag][0]
+    assert main([f"--{flag}", str(value), command]) == 0
+    assert received.pop(command)[flag] == value
+    assert main([command, f"--{flag}", str(value)]) == 0
+    assert received.pop(command)[flag] == value
+
+
+@pytest.mark.parametrize("command,flag", READ_PAIRS)
+def test_shared_flag_after_the_name_wins(received, command, flag):
+    before, after = VALUES[flag]
+    assert main([f"--{flag}", str(before), command, f"--{flag}", str(after)]) == 0
+    assert received[command][flag] == after
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_PAIRS)
+def test_unread_shared_flag_is_a_usage_error_only_after_the_name(
+        received, capsys, command, flag):
+    value = str(VALUES[flag][0])
+    assert main([command, f"--{flag}", value]) == 1
+    assert "no such option" in capsys.readouterr().err.lower()
+    assert command not in received
+    assert main([f"--{flag}", value, command]) == 0
+    assert flag not in received[command]
+
+
+@pytest.mark.parametrize("command", [c for c, flags in READS.items() if flags])
+def test_shared_flags_given_nowhere_take_the_group_defaults(received, command):
+    defaults = {"endpoint": None, "channel": 1, "results": 20,
+                "scenario": "paper_hour", "speed": "max", "rules": None}
+    assert main([command]) == 0
+    got = received[command]
+    assert {f: got[f] for f in READS[command]} == {f: defaults[f] for f in READS[command]}
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_channel_zero_is_read_the_same_in_both_positions(http_server, capsys, before):
+    seed_entries(http_server, BASIC_ROWS)
+    flag = ["--channel", "0"]
+    args = ["table", "--endpoint", http_server.endpoint]
+    code, out, err = run_cli(capsys, *(flag + args if before else args + flag))
+    assert code == 3  # no channel 0; channel 1 exists and has rows
+    assert out == ""
+    assert "data error" in err

@@ -37,6 +37,17 @@ def test_minimal_stochastic_defaults():
     assert spec.duration_s == 3600.0
 
 
+def test_parse_defaults_are_the_spec_defaults():
+    assert parse_scenario(MINIMAL_STOCHASTIC) == ScenarioSpec(mode="stochastic")
+
+
+def test_lone_range_bound_keeps_the_default_other_bound():
+    spec = parse_scenario("mode = stochastic\ntemp_min = 25\n")
+    assert (spec.temperature.lo, spec.temperature.hi) == (25.0, 40.0)
+    spec = parse_scenario("mode = stochastic\nmoist_max = 30\n")
+    assert (spec.moisture.lo, spec.moisture.hi) == (10.0, 30.0)
+
+
 def test_empty_document_is_parse_error():
     with pytest.raises(ScenarioParseError):
         parse_scenario("")

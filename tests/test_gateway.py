@@ -181,6 +181,13 @@ def test_indicator_states():
     assert indicator_states(absent, rules) == {"heat": False, "rain": False, "dry": False}
 
 
+@pytest.mark.parametrize("temperature", [34.99, 35.0, 35.01])
+@pytest.mark.parametrize("moisture", [19.99, 20.0, 20.01])
+def test_indicator_states_without_rules_use_the_default_thresholds(temperature, moisture):
+    reading = Reading(DEFAULT_EPOCH, temperature=temperature, moisture=moisture, rain=0)
+    assert indicator_states(reading, []) == indicator_states(reading, default_rules())
+
+
 # ---------------------------------------------------------------------------
 # publishing
 

@@ -237,6 +237,60 @@ def test_channel_metadata_survives_restart(tmp_path, clock):
     assert ch.fields == {1: "Temperature", 2: "Pressure", 3: "Moisture", 4: "Rain"}
 
 
+# channels.json as written before the registry was derived from Channel
+EARLIER_REGISTRY = """{
+  "channels": [
+    {
+      "id": 1,
+      "name": "station",
+      "write_key": "FIELDSTATIONKEY1",
+      "read_key": "READKEY123456789",
+      "fields": {
+        "1": "Temperature",
+        "3": "Moisture"
+      },
+      "rate_limit_s": 7.5
+    },
+    {
+      "id": 2,
+      "name": "open",
+      "write_key": "OPENCHANNELKEY02",
+      "read_key": null,
+      "fields": {
+        "1": "Temperature",
+        "2": "Pressure"
+      },
+      "rate_limit_s": 15.0
+    }
+  ]
+}"""
+REGISTRY_CHANNELS = [
+    Channel(1, "station", "FIELDSTATIONKEY1", {1: "Temperature", 3: "Moisture"},
+            read_key="READKEY123456789", rate_limit_s=7.5),
+    Channel(2, "open", "OPENCHANNELKEY02", {1: "Temperature", 2: "Pressure"},
+            read_key=None, rate_limit_s=15.0),
+]
+
+
+def test_recovery_reads_the_earlier_registry_format(tmp_path, clock):
+    (tmp_path / "channels.json").write_text(EARLIER_REGISTRY, encoding="utf-8")
+    revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    assert revived.channels() == REGISTRY_CHANNELS
+    assert all(type(k) is int for ch in revived.channels() for k in ch.fields)
+    revived.close()
+
+
+def test_registry_round_trip_keeps_every_channel_value(tmp_path, clock):
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    for ch in REGISTRY_CHANNELS:
+        service.create_channel(ch.name, ch.fields, write_key=ch.write_key,
+                               read_key=ch.read_key, rate_limit_s=ch.rate_limit_s)
+    service.close()
+    revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    assert revived.channels() == REGISTRY_CHANNELS
+    revived.close()
+
+
 def _record_fsyncs(monkeypatch, registry):
     """Replace os.fsync with a recorder of (is a directory, registry exists)."""
     calls = []
