@@ -201,8 +201,14 @@ def parse_rules(text: str) -> list[AlertRule]:
 
 
 def load_rules(path) -> list[AlertRule]:
+    """Parse a rules file; a path that cannot be read as UTF-8 text raises
+    `RulesError`."""
     from pathlib import Path
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RulesError(f"cannot read rules file {str(path)!r}: {exc}") from exc
+    return parse_rules(text)
 
 
 # ---------------------------------------------------------------------------

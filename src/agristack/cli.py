@@ -168,23 +168,25 @@ def run(endpoint, channel, scenario, speed, write_key, data_dir, duty_cycle, epo
                                    write_key=write_key, rate_limit_s=0.0)
         client = LocalServiceClient(service, write_key=write_key)
 
-    report = pipeline.run_pipeline(spec, client, epoch=epoch_dt,
-                                   duty_cycle=duty_cycle, speed=speed)
-
-    click.echo(f"scenario {scenario}: {report.cycles} cycles, "
-               f"{report.acknowledged} acknowledged, {report.queued} queued, "
-               f"{report.drops} dropped, {report.skipped} skipped")
     try:
-        feeds = client.read_feeds(channel, results=8000)["feeds"]
-    except (UnknownChannelError, ServiceUnavailable):
-        feeds = []
-    if feeds:
-        for line in _summarize_feeds(feeds):
-            click.echo(line)
-    energy = " ".join(f"{name}={mj:.0f}mJ" for name, mj in report.energy_mj.items())
-    click.echo(f"energy: {energy} (total {sum(report.energy_mj.values()):.0f}mJ)")
-    if service is not None:
-        service.close()
+        report = pipeline.run_pipeline(spec, client, epoch=epoch_dt,
+                                       duty_cycle=duty_cycle, speed=speed)
+
+        click.echo(f"scenario {scenario}: {report.cycles} cycles, "
+                   f"{report.acknowledged} acknowledged, {report.queued} queued, "
+                   f"{report.drops} dropped, {report.skipped} skipped")
+        try:
+            feeds = client.read_feeds(channel, results=8000)["feeds"]
+        except ServiceUnavailable:
+            feeds = []
+        if feeds:
+            for line in _summarize_feeds(feeds):
+                click.echo(line)
+        energy = " ".join(f"{name}={mj:.0f}mJ" for name, mj in report.energy_mj.items())
+        click.echo(f"energy: {energy} (total {sum(report.energy_mj.values()):.0f}mJ)")
+    finally:
+        if service is not None:
+            service.close()
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def load_scenario(source: str | Path | IO[str]) -> ScenarioSpec:
-    """Load a scenario from a path or an open text stream."""
+    """Load a scenario from a path or an open text stream.
+
+    A path that cannot be read as UTF-8 text raises `ScenarioError`.
+    """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario file {str(source)!r}: {exc}") from exc
     else:
         text = source.read()
     return parse_scenario(text)

@@ -4,12 +4,15 @@ Drives the simulator on its tick grid, acquires through the gateway, and
 publishes each reading with the reading's simulated timestamp. Time is
 accelerated by default: `speed` is a wall-clock divisor and "max" skips
 sleeping entirely. With duty cycling enabled, the rain sensor's power
-schedule is re-planned from the pressure forecast every horizon.
+schedule is re-planned from the pressure forecast every horizon. A plan
+reads only the last `window` pressure values and the last `lookback` rain
+values, so only those are kept: each plan costs the same at any run length.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Callable
@@ -42,8 +45,8 @@ def run_pipeline(spec: ScenarioSpec, client, *,
     duty_cfg = DutyCycleConfig(step_s=spec.tick_s)
     report = RunReport()
 
-    pressure_history: list[float] = []
-    rain_history: list[int] = []
+    pressure_history: deque[float] = deque(maxlen=forecast_cfg.window)
+    rain_history: deque[int] = deque(maxlen=duty_cfg.lookback)
     last_plan_cycle: int | None = None
 
     for cycle, env in enumerate(simulate(spec)):
@@ -73,9 +76,10 @@ def run_pipeline(spec: ScenarioSpec, client, *,
             due = (last_plan_cycle is None
                    or cycle - last_plan_cycle >= forecast_cfg.horizon)
             if due:
-                forecast = moving_average(pressure_history, forecast_cfg)
+                # both slice their inputs, which a deque does not support
+                forecast = moving_average(tuple(pressure_history), forecast_cfg)
                 schedule = plan_duty_cycle(
-                    forecast.horizon, rain_history,
+                    forecast.horizon, tuple(rain_history),
                     replace(duty_cfg, start_t=env.t + spec.tick_s))
                 gateway.apply_schedule(schedule)
                 last_plan_cycle = cycle

@@ -92,6 +92,16 @@ def test_shift_invariance(series, c):
         assert b == pytest.approx(a + c, abs=1e-6)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), window=st.integers(min_value=1, max_value=8),
+       horizon=st.integers(min_value=1, max_value=8))
+def test_horizon_reads_only_the_last_window(data, window, horizon):
+    series = data.draw(st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                                min_size=window, max_size=60))
+    cfg = ForecastConfig(window=window, horizon=horizon)
+    assert moving_average(series[-window:], cfg).horizon == moving_average(series, cfg).horizon
+
+
 def test_forecast_config_validation():
     with pytest.raises(ValueError):
         ForecastConfig(window=0)
@@ -307,6 +317,16 @@ def test_rain_sensor_never_off_below_threshold_property():
             t = cfg.start_t + j * cfg.step_s
             if value < cfg.pressure_threshold:
                 assert schedule.is_on("rain", t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forecast=st.lists(st.floats(min_value=1008.0, max_value=1026.0), max_size=12),
+       history=st.lists(st.integers(min_value=0, max_value=1), max_size=20),
+       lookback=st.integers(min_value=1, max_value=8))
+def test_plan_reads_only_the_last_lookback_rain_values(forecast, history, lookback):
+    cfg = DutyCycleConfig(lookback=lookback)
+    assert (plan_duty_cycle(forecast, history[-lookback:], cfg)
+            == plan_duty_cycle(forecast, history, cfg))
 
 
 def test_schedule_rejects_overlapping_intervals():

@@ -33,6 +33,8 @@ def test_tracer_installs_and_uninstall_restores_originals(monkeypatch):
     finally:
         tracer.uninstall()
     assert {"agristack.pipeline.run_pipeline", "agristack.pipeline.simulate",
+            "agristack.pipeline.moving_average",
+            "agristack.pipeline.plan_duty_cycle",
             "EdgeGateway.acquire_cycle", "Publisher.publish",
             "ChannelService.update", "agristack.storelog.os"} <= patched
     assert _namespaces() == before

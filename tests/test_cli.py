@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
+import socket
 
 import pytest
 import requests
@@ -286,6 +288,43 @@ def test_run_with_scenario_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--scenario", str(path))
     assert code == 0
     assert "3 cycles" in out
+
+
+def test_run_channel_it_did_not_write_is_data_error(capsys, tmp_path):
+    # without --endpoint the run writes to channel 1 of its own service
+    code, out, err = run_cli(capsys, "run", "--channel", "2",
+                             "--data-dir", str(tmp_path))
+    assert code == 3
+    assert err == "data error: no channel 2\n"
+    assert out.startswith("scenario paper_hour: 360 cycles")
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--scenario", "{dir}"),
+    ("run", "--scenario", ""),
+    ("run", "--scenario", "{binary}"),
+    ("watch-alerts", "--endpoint", "http://127.0.0.1:1", "--rules", "{dir}"),
+    ("watch-alerts", "--endpoint", "http://127.0.0.1:1", "--rules", "{binary}"),
+    ("watch-alerts", "--endpoint", "http://127.0.0.1:1", "--rules", "{missing}"),
+])
+def test_unreadable_scenario_or_rules_file_is_data_error(capsys, tmp_path, args):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    paths = {"dir": tmp_path, "binary": binary, "missing": tmp_path / "missing"}
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in args))
+    assert code == 3
+    assert err.startswith("data error: cannot read ")
+
+
+def test_serve_port_in_use_is_network_error(capsys, tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code, _, err = run_cli(capsys, "serve", "--port", str(port),
+                               "--data-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"network error: [Errno {errno.EADDRINUSE}]")
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import math
 import time
+from dataclasses import replace
 
 import pytest
 
+from agristack import pipeline
+from agristack.analytics import (DutyCycleConfig, ForecastConfig, moving_average,
+                                 plan_duty_cycle)
 from agristack.client import LocalServiceClient, ServiceUnavailable
-from agristack.envsim import parse_scenario
-from agristack.pipeline import run_pipeline
+from agristack.envsim import ScenarioSpec, parse_scenario, simulate
+from agristack.gateway import DEFAULT_EPOCH, EdgeGateway, EmptyReadingError, Publisher
+from agristack.pipeline import RunReport, run_pipeline
 from agristack.service import ChannelService
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 
@@ -159,3 +165,82 @@ def test_published_values_track_ground_truth_within_one_lsb():
             published = float(entry.fields[index])
             assert abs(published - getattr(truth, name)) <= tol, (i, name)
         assert entry.fields[4] == str(truth.rain)
+
+
+def full_history_run_pipeline(spec, client) -> RunReport:
+    """Reference duty-cycled loop that hands the whole pressure and rain
+    history to the planner on every plan; `run_pipeline` keeps only what a
+    plan reads and must produce the same run."""
+    gateway = EdgeGateway(sample_interval_s=spec.tick_s, epoch=DEFAULT_EPOCH)
+    publisher = Publisher(client, sleep=lambda _s: None)
+    forecast_cfg = ForecastConfig()
+    duty_cfg = DutyCycleConfig(step_s=spec.tick_s)
+    report = RunReport()
+    pressure_history: list[float] = []
+    rain_history: list[int] = []
+    last_plan_cycle = None
+    for cycle, env in enumerate(simulate(spec)):
+        try:
+            reading = gateway.acquire_cycle(env.t, env)
+        except EmptyReadingError:
+            report.skipped += 1
+            report.cycles += 1
+            continue
+        result = publisher.publish(reading)
+        if result.status == "acknowledged":
+            report.acknowledged += 1 + result.flushed
+        else:
+            report.acknowledged += result.flushed
+            report.queued += 1
+        report.cycles += 1
+        if reading.pressure is not None:
+            pressure_history.append(reading.pressure)
+        if reading.rain is not None:
+            rain_history.append(reading.rain)
+        if len(pressure_history) >= forecast_cfg.window and (
+                last_plan_cycle is None
+                or cycle - last_plan_cycle >= forecast_cfg.horizon):
+            forecast = moving_average(pressure_history, forecast_cfg)
+            gateway.apply_schedule(plan_duty_cycle(
+                forecast.horizon, rain_history,
+                replace(duty_cfg, start_t=env.t + spec.tick_s)))
+            last_plan_cycle = cycle
+    report.drops = publisher.drops
+    report.pending = publisher.pending()
+    report.energy_mj = {name: gateway.ledger.energy_mj(name)
+                        for name in gateway.ledger.on_time_s}
+    report.on_time_s = dict(gateway.ledger.on_time_s)
+    return report
+
+
+def test_duty_cycle_matches_the_full_history_reference():
+    spec = ScenarioSpec(mode="stochastic", seed=5, duration_s=86_400.0, tick_s=60.0)
+
+    ref_service, ref_client = fresh_client()
+    expected = full_history_run_pipeline(spec, ref_client)
+    service, client = fresh_client()
+    report = run_pipeline(spec, client, duty_cycle=True)
+
+    # the rain sensor was both scheduled off and kept on
+    assert 0 < report.on_time_s["rain"] < spec.duration_s
+    assert report == expected
+    assert (service.read_feeds(1, results=8000).entries
+            == ref_service.read_feeds(1, results=8000).entries)
+
+
+def test_duty_cycle_forecast_inputs_are_bounded_per_plan(monkeypatch):
+    sizes: list[int] = []
+
+    def recording_moving_average(series, cfg):
+        sizes.append(len(series))
+        return moving_average(series, cfg)
+
+    monkeypatch.setattr(pipeline, "moving_average", recording_moving_average)
+    spec = ScenarioSpec(mode="stochastic", seed=3, duration_s=3 * 86_400.0, tick_s=60.0)
+    _, client = fresh_client()
+    report = run_pipeline(spec, client, duty_cycle=True)
+
+    cfg = ForecastConfig()
+    assert report.cycles == 4320
+    assert sizes and min(sizes) == max(sizes) == cfg.window
+    assert sum(sizes) <= cfg.window * math.ceil(report.cycles / cfg.horizon)
