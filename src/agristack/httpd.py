@@ -58,9 +58,8 @@ def render_entry(entry: svc.FeedEntry, keys: Iterable[int]) -> str:
     the given order, null where the entry has no value.
 
     Byte-identical to `json.dumps` of the same dict with separators (",", ":"):
-    the timestamp and every value written through `update` (svc.NUMBER_RE)
-    hold no character JSON escapes. Others, recovered from logs written
-    before that check, go through `json.dumps`.
+    the timestamp holds no character JSON escapes, and each value goes
+    through `svc.json_string`.
     """
     parts = [f'{{"created_at":"{svc.format_timestamp(entry.created_at)}",'
              f'"entry_id":{entry.entry_id}']
@@ -68,10 +67,8 @@ def render_entry(entry: svc.FeedEntry, keys: Iterable[int]) -> str:
         value = entry.fields.get(k)
         if value is None:
             parts.append(f',"field{k}":null')
-        elif svc.NUMBER_RE.fullmatch(value):
-            parts.append(f',"field{k}":"{value}"')
         else:
-            parts.append(f',"field{k}":{json.dumps(value)}')
+            parts.append(f',"field{k}":{svc.json_string(value)}')
     parts.append("}")
     return "".join(parts)
 

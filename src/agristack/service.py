@@ -25,14 +25,13 @@ from typing import Callable, Mapping
 
 from .storelog import RecordLog, fsync_directory
 
-TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 MAX_FIELDS = 8
 MAX_RESULTS = 8000
 DEFAULT_RATE_LIMIT_S = 15.0
 
 # ASCII only and matched in full, so a written value needs no JSON escaping
 NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
-# TIMESTAMP_FMT's zero-padded form, as a pattern
+# the form format_timestamp writes, year zero-padded to four digits
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 _CREATED_AT = attrgetter("created_at")
 
@@ -58,7 +57,8 @@ def utc_now() -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(TIMESTAMP_FMT)
+    # isoformat zero-pads the year, which glibc's strftime("%Y") does not
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -68,6 +68,18 @@ def parse_timestamp(text: str) -> datetime:
         except ValueError:  # a field out of range, such as month 13
             pass
     raise BadRequestError(f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form")
+
+
+def json_string(text: str) -> str:
+    """`text` as a JSON string literal, byte-identical to `json.dumps(text)`.
+
+    A value `update` accepts (NUMBER_RE) holds no character JSON escapes and
+    is quoted as it is; any other, recovered from a log written before that
+    check, goes through `json.dumps`.
+    """
+    if NUMBER_RE.fullmatch(text):
+        return f'"{text}"'
+    return json.dumps(text)
 
 
 def generate_key() -> str:
@@ -294,13 +306,10 @@ class ChannelService:
             fields = {int(k): v for k, v in item["fields"].items()}
             meta = Channel(**{**item, "fields": fields})
             log = self._open_log(meta.id)
-            entries = [_decode_entry(raw) for raw in log.replay()]
-            for i, entry in enumerate(entries, start=1):
-                if entry.entry_id != i:
-                    raise CorruptStateError(
-                        f"channel {meta.id}: entry_id {entry.entry_id} at "
-                        f"position {i}; log is not a clean prefix"
-                    )
+            try:
+                entries = _decode_entries(log.replay())
+            except CorruptStateError as exc:
+                raise CorruptStateError(f"channel {meta.id}: {exc}") from None
             state = _ChannelState(meta=meta, entries=entries, log=log)
             self._channels[meta.id] = state
             self._by_write_key[meta.write_key] = meta.id
@@ -315,19 +324,70 @@ class CorruptStateError(ServiceError):
     pass
 
 
+# Records parsed by one json.loads in recovery. Parsing a 60,480-entry log in
+# one piece raised recovery's peak RSS from 78 to 122 MB. Chunks of 64, 256
+# and 1024 records parse as fast; this size costs 0.25 MB over record by
+# record, and 1024 costs 0.6 MB.
+_DECODE_CHUNK = 256
+
+
 def _encode_entry(entry: FeedEntry) -> bytes:
-    doc = {
-        "id": entry.entry_id,
-        "at": format_timestamp(entry.created_at),
-        "f": {str(k): v for k, v in sorted(entry.fields.items())},
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    """The log record of `entry`, `{"id":N,"at":"…","f":{"1":…}}` with the
+    fields in index order: byte-identical to `json.dumps` of that dict with
+    separators (",", ":")."""
+    fields = ",".join([f'"{k}":{json_string(v)}'
+                       for k, v in sorted(entry.fields.items())])
+    return (f'{{"id":{entry.entry_id},"at":"{format_timestamp(entry.created_at)}",'
+            f'"f":{{{fields}}}}}').encode()
 
 
-def _decode_entry(raw: bytes) -> FeedEntry:
-    doc = json.loads(raw.decode("utf-8"))
-    return FeedEntry(
-        entry_id=doc["id"],
-        created_at=parse_timestamp(doc["at"]),
-        fields={int(k): v for k, v in doc["f"].items()},
-    )
+def _decode_entries(records: list[bytes]) -> list[FeedEntry]:
+    """The entries a channel log's records hold, in order. Raises
+    CorruptStateError at the first record that is not exactly one entry, or
+    whose entry_id is not its 1-based position.
+
+    Each chunk of records is parsed as one JSON array, the records joined by
+    a comma and a newline. Its items are the records only if each of those
+    separators is a top-level one: a raw newline cannot stand in a JSON
+    string, no object goes on with a separator and a `{`, and a chunk with no
+    `[` of its own holds no nested array. Any other chunk, like one that fails
+    to parse or has another number of items, is parsed record by record, which
+    finds the culprit.
+    """
+    entries: list[FeedEntry] = []
+    for first in range(0, len(records), _DECODE_CHUNK):
+        chunk = records[first:first + _DECODE_CHUNK]
+        joined = b"[" + b",\n".join(chunk) + b"]"
+        docs = None
+        # the separators are the only newlines, and each is followed by a `{`
+        if (joined.count(b"\n") == joined.count(b",\n{") == len(chunk) - 1
+                and joined.count(b"[") == 1):
+            try:
+                docs = json.loads(joined.decode("utf-8"))
+            except ValueError:  # JSONDecodeError and UnicodeDecodeError
+                pass
+        if docs is None or len(docs) != len(chunk):
+            docs = [_parse_record(raw, position)
+                    for position, raw in enumerate(chunk, start=first + 1)]
+        for position, doc in enumerate(docs, start=first + 1):
+            try:
+                entry = FeedEntry(doc["id"], parse_timestamp(doc["at"]),
+                                  {int(k): v for k, v in doc["f"].items()})
+            except (LookupError, TypeError, AttributeError, ValueError,
+                    BadRequestError) as exc:
+                raise CorruptStateError(f"entry {position} is not a log entry:"
+                                        f" {type(exc).__name__}: {exc}") from None
+            if entry.entry_id != position:
+                raise CorruptStateError(
+                    f"entry_id {entry.entry_id} at position {position}; log is"
+                    f" not a clean prefix")
+            entries.append(entry)
+    return entries
+
+
+def _parse_record(raw: bytes, position: int):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise CorruptStateError(
+            f"entry {position} is not one JSON value: {exc}") from None

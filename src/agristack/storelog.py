@@ -53,8 +53,7 @@ class RecordLog:
         if len(payload) > MAX_RECORD_BYTES:
             raise ValueError(f"record of {len(payload)} bytes exceeds maximum")
         fh = self._handle()
-        fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
-        fh.write(payload)
+        fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
         fh.flush()
         if self.fsync:
             os.fsync(fh.fileno())
@@ -69,25 +68,23 @@ class RecordLog:
         if not self.path.exists():
             return []
         data = self.path.read_bytes()
+        size = len(data)
         records: list[bytes] = []
         offset = 0
-        good_end = 0
-        while offset < len(data):
-            header = data[offset:offset + _HEADER.size]
-            if len(header) < _HEADER.size:
-                break  # torn header at tail
-            length, crc = _HEADER.unpack(header)
+        while offset + _HEADER.size <= size:  # else a torn header at the tail
+            length, crc = _HEADER.unpack_from(data, offset)
             if length > MAX_RECORD_BYTES:
                 raise CorruptLogError(self.path, offset, f"record length {length}")
-            payload = data[offset + _HEADER.size:offset + _HEADER.size + length]
-            if len(payload) < length:
+            start = offset + _HEADER.size
+            end = start + length
+            if end > size:
                 break  # torn payload at tail
+            payload = data[start:end]
             if zlib.crc32(payload) != crc:
                 raise CorruptLogError(self.path, offset, "checksum mismatch")
             records.append(payload)
-            offset += _HEADER.size + length
-            good_end = offset
-        if good_end < len(data):
+            offset = end
+        if offset < size:
             with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
+                fh.truncate(offset)
         return records

@@ -36,5 +36,7 @@ def test_tracer_installs_and_uninstall_restores_originals(monkeypatch):
             "agristack.pipeline.moving_average",
             "agristack.pipeline.plan_duty_cycle",
             "EdgeGateway.acquire_cycle", "Publisher.publish",
-            "ChannelService.update", "agristack.storelog.os"} <= patched
+            "ChannelService.__init__", "ChannelService.update",
+            "RecordLog.append", "RecordLog.replay", "agristack.httpd.feeds_body",
+            "agristack.storelog.os"} <= patched
     assert _namespaces() == before

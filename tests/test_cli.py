@@ -10,6 +10,8 @@ import requests
 
 from agristack.analytics import evaluate_alerts, default_rules
 from agristack.cli import _entry_to_reading, cli, main, sparkline
+from agristack.service import ChannelService
+from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
 
 
@@ -325,6 +327,19 @@ def test_serve_port_in_use_is_network_error(capsys, tmp_path):
                                "--data-dir", str(tmp_path))
     assert code == 2
     assert err.startswith(f"network error: [Errno {errno.EADDRINUSE}]")
+
+
+def test_serve_on_a_log_record_that_is_not_an_entry_is_data_error(capsys, tmp_path):
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    service.create_channel("c", ["A"], write_key=WRITE_KEY, rate_limit_s=0.0)
+    service.update(WRITE_KEY, {1: "1.0"})
+    service.close()
+    log = RecordLog(tmp_path / "channel_1.log", fsync=False)
+    log.append(b"not json")  # checksummed, so only decoding can refuse it
+    log.close()
+    code, _, err = run_cli(capsys, "serve", "--port", "0", "--data-dir", str(tmp_path))
+    assert code == 3
+    assert err.startswith("data error: channel 1: entry 2 is not one JSON value")
 
 
 def test_usage_error_exit_code(capsys):

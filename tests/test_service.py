@@ -5,18 +5,21 @@ import os
 import stat
 import sys
 import threading
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agristack import httpd
 from agristack import service as service_module
 from agristack.httpd import feeds_body
 from agristack.service import (MAX_RESULTS, AuthError, BadRequestError, Channel,
-                               ChannelService, UnknownChannelError,
+                               ChannelService, CorruptStateError, FeedEntry,
+                               UnknownChannelError, _decode_entries, _encode_entry,
                                format_timestamp, parse_timestamp)
+from agristack.storelog import RecordLog
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 
 T = lambda s: parse_timestamp(s)  # noqa: E731
@@ -351,6 +354,33 @@ def test_timestamp_roundtrip():
             parse_timestamp(bad)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 1),
+                    max_value=datetime(9999, 12, 31, 23, 59, 59)))
+@example(datetime(1, 1, 1))
+@example(datetime(999, 12, 31, 23, 59, 59))
+def test_format_timestamp_inverts_parse_in_every_year(dt):
+    text = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
+            f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
+    assert format_timestamp(parse_timestamp(text)) == text
+
+
+def test_pre_1000_created_at_survives_a_restart(tmp_path, clock):
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    at = parse_timestamp("0999-01-01T00:00:00Z")
+    assert service.update(WRITE_KEY, {1: "1.0"}, created_at=at) == 1
+    service.close()
+
+    revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    try:
+        page = revived.read_feeds(1)
+    finally:
+        revived.close()
+    assert [e.created_at for e in page.entries] == [at]
+    assert '"created_at":"0999-01-01T00:00:00Z"' in feeds_body(page)
+
+
 def test_field_values_must_be_ascii_decimals_in_full(memory_service):
     # each would be written into feed bodies unescaped if it were stored
     for bad in ("1\n", "1 ", "\u0663", "1\u0663"):
@@ -456,3 +486,134 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
     assert not any(t.is_alive() for t in threads)
     assert problems == []
     assert service.read_feeds(1, results=1).entries[0].entry_id == 600
+
+
+# -- the log entry codec ------------------------------------------------------
+
+
+def reference_encode_entry(entry: FeedEntry) -> bytes:
+    """The log record as json.dumps of a dict wrote it, before the template."""
+    doc = {
+        "id": entry.entry_id,
+        "at": format_timestamp(entry.created_at),
+        "f": {str(k): v for k, v in sorted(entry.fields.items())},
+    }
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def reference_decode_entry(raw: bytes) -> FeedEntry:
+    """One record decoded on its own, as recovery did before chunking."""
+    doc = json.loads(raw.decode("utf-8"))
+    return FeedEntry(
+        entry_id=doc["id"],
+        created_at=parse_timestamp(doc["at"]),
+        fields={int(k): v for k, v in doc["f"].items()},
+    )
+
+
+CHUNK = service_module._DECODE_CHUNK
+any_text = st.text(st.characters(exclude_categories=()), max_size=6)  # surrogates too
+decimal_text = st.from_regex(service_module.NUMBER_RE, fullmatch=True)
+log_entries = st.builds(
+    FeedEntry,
+    entry_id=st.integers(1, 10**12),
+    created_at=st.datetimes(min_value=datetime(1, 1, 1),
+                            max_value=datetime(9999, 12, 31, 23, 59, 59),
+                            timezones=st.just(timezone.utc)),
+    fields=st.dictionaries(st.integers(0, 99),
+                           st.one_of(any_text, decimal_text),
+                           max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=log_entries)
+def test_encode_entry_matches_the_json_dumps_reference(entry):
+    assert _encode_entry(entry) == reference_encode_entry(entry)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@settings(max_examples=5, deadline=None)
+@given(rows=st.lists(log_entries, min_size=1, max_size=4))
+def test_decode_entries_matches_the_per_record_reference(n, rows):
+    records = [_encode_entry(replace(rows[i % len(rows)], entry_id=i + 1))
+               for i in range(n)]
+    assert _decode_entries(records) == [reference_decode_entry(r) for r in records]
+
+
+def test_intact_records_are_parsed_one_chunk_at_a_time(monkeypatch):
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(service_module.json, "loads",
+                        lambda text: parsed.append(len(text)) or loads(text))
+    records = [_encode_entry(FeedEntry(i, BASE, {1: "1.0"}))
+               for i in range(1, 2 * CHUNK + 2)]
+    assert len(_decode_entries(records)) == 2 * CHUNK + 1
+    assert len(parsed) == 3
+
+
+def write_log(tmp_path, payloads):
+    """A one-channel data dir whose log holds entry 1, then `payloads`."""
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    service.update(WRITE_KEY, {1: "1.0"}, created_at=BASE)
+    service.close()
+    log = RecordLog(tmp_path / "channel_1.log", fsync=False)
+    for payload in payloads:
+        log.append(payload)
+    log.close()
+
+
+ENTRY_2 = _encode_entry(FeedEntry(2, BASE, {1: "2.0"}))
+ENTRY_3 = _encode_entry(FeedEntry(3, BASE, {1: "3.0"}))
+AT = b'"at":"2024-12-15T10:00:00Z"'
+
+
+@pytest.mark.parametrize("payload", [
+    b"not json",
+    b"",
+    ENTRY_2 + b" " + ENTRY_2,
+    ENTRY_2 + b"," + ENTRY_3,
+    b'{' + AT + b',"f":{"1":"2.0"}}',
+    b'{"id":2,"f":{"1":"2.0"}}',
+    b'{"id":2,' + AT + b'}',
+    b'{"id":2,"at":"999-01-01T00:00:00Z","f":{"1":"2.0"}}',
+    b'{"id":2,' + AT + b',"f":{"one":"2.0"}}',
+    b'{"id":2,' + AT + b',"f":["2.0"]}',
+    b'[2]',
+    b'\xff',
+], ids=["not-json", "empty", "two-values", "two-values-comma", "no-id", "no-at",
+        "no-f", "short-year", "bad-field-index", "f-not-object", "array",
+        "not-utf8"])
+def test_record_that_is_not_one_entry_is_corrupt_state(tmp_path, payload):
+    write_log(tmp_path, [payload, ENTRY_3])
+    with pytest.raises(CorruptStateError, match=r"^channel 1: entry 2 "):
+        ChannelService(data_dir=tmp_path, fsync=False)
+
+
+@pytest.mark.parametrize("second, third", [
+    # the separator would fall inside a string
+    (ENTRY_2 + b',{"id":3,' + AT + b',"f":{"1":"', b'3.0"}}'),
+    # ... after an object's member, where a key follows
+    (b'{"id":2,' + AT, b'"f":{"1":"2.0"}},' + ENTRY_3),
+    # ... inside an array, hidden by a repeated key
+    (b'{"id":2,"f":[{"x":{}}', b'{"x":{}}],' + AT + b',"f":{"1":"2.0"}},' + ENTRY_3),
+], ids=["in-string", "in-object", "in-array"])
+def test_entries_split_across_records_are_corrupt_state(tmp_path, second, third):
+    # joined by a bare comma, each pair parses as entries 2 and 3, though
+    # neither record is one entry on its own
+    write_log(tmp_path, [second, third])
+    with pytest.raises(CorruptStateError, match=r"^channel 1: entry 2 "):
+        ChannelService(data_dir=tmp_path, fsync=False)
+
+
+def test_corrupt_record_position_counts_across_chunks():
+    records = [_encode_entry(FeedEntry(i, BASE, {1: "1.0"}))
+               for i in range(1, 2 * CHUNK + 2)]
+    records[CHUNK + 5] = b"not json"
+    with pytest.raises(CorruptStateError, match=rf"^entry {CHUNK + 6} is not"):
+        _decode_entries(records)
+    records[CHUNK + 5] = _encode_entry(FeedEntry(CHUNK + 7, BASE, {1: "1.0"}))
+    with pytest.raises(CorruptStateError,
+                       match=rf"^entry_id {CHUNK + 7} at position {CHUNK + 6};"):
+        _decode_entries(records)

@@ -72,6 +72,38 @@ def test_corrupt_interior_record_refuses_with_offset(tmp_path):
     assert err.value.offset == middle_offset
 
 
+def test_tail_torn_at_every_byte_of_the_last_record(tmp_path):
+    payloads = [b"alpha", b"bravo-charlie", b"delta-echo-foxtrot"]
+    log = make_log(tmp_path, payloads)
+    data = log.path.read_bytes()
+    good_end = len(data) - 8 - len(payloads[-1])
+    for cut in range(good_end, len(data)):  # header and payload alike
+        log.path.write_bytes(data[:cut])
+        assert log.replay() == payloads[:2]
+        assert log.path.stat().st_size == good_end
+
+
+@pytest.mark.parametrize("length, crc_flip, detail", [
+    ((1 << 20) + 1, 0, "record length"),
+    (21, 0, "checksum mismatch"),      # runs into the next header
+    (19, 0, "checksum mismatch"),      # stops short of its payload
+    (20, 1, "checksum mismatch"),      # one bit of the crc flipped
+], ids=["over-maximum", "one-long", "one-short", "crc"])
+def test_bad_length_or_crc_in_the_middle_record_reports_its_offset(
+        tmp_path, length, crc_flip, detail):
+    payloads = [b"a" * 20, b"b" * 20, b"c" * 20]
+    log = make_log(tmp_path, payloads)
+    raw = bytearray(log.path.read_bytes())
+    middle_offset = 8 + 20
+    _, crc = struct.unpack_from(">II", raw, middle_offset)
+    struct.pack_into(">II", raw, middle_offset, length, crc ^ crc_flip)
+    log.path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptLogError, match=detail) as err:
+        log.replay()
+    assert err.value.offset == middle_offset
+    assert log.path.read_bytes() == raw  # nothing truncated
+
+
 def test_absurd_length_reports_corruption(tmp_path):
     log = RecordLog(tmp_path / "chan.log", fsync=False)
     log.append(b"fine")
