@@ -25,7 +25,7 @@ import json
 import logging
 import re
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -53,42 +53,46 @@ def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     return doc
 
 
-def render_entry(entry: svc.FeedEntry, keys: Iterable[int]) -> str:
-    """`entry` as the compact JSON object a feed body lists, fields `keys` in
-    the given order, null where the entry has no value.
+def render_entry(entry_id: int, created_at: str, fields: Mapping[str, str],
+                 names: Iterable[str]) -> str:
+    """Entry `entry_id`, created at `created_at` (format_timestamp's text)
+    with the values `fields` by field name, as the compact JSON object a feed
+    body lists: fields `names` in the given order, null where the entry has
+    no value.
 
     Byte-identical to `json.dumps` of the same dict with separators (",", ":"):
-    the timestamp holds no character JSON escapes, and each value goes
-    through `svc.json_string`.
+    the timestamp and the names hold no character JSON escapes, and each
+    value goes through `svc.json_string`.
     """
-    parts = [f'{{"created_at":"{svc.format_timestamp(entry.created_at)}",'
-             f'"entry_id":{entry.entry_id}']
-    for k in keys:
-        value = entry.fields.get(k)
+    parts = [f'{{"created_at":"{created_at}","entry_id":{entry_id}']
+    for name in names:
+        value = fields.get(name)
         if value is None:
-            parts.append(f',"field{k}":null')
+            parts.append(f',"field{name}":null')
         else:
-            parts.append(f',"field{k}":{svc.json_string(value)}')
+            parts.append(f',"field{name}":{svc.json_string(value)}')
     parts.append("}")
     return "".join(parts)
 
 
 def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
     header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
+    times, fields = page.times, page.fields
     if only_field is None:
         # Two threads racing on one entry store equal strings.
-        keys = sorted(page.channel.fields)
+        names = [str(k) for k in sorted(page.channel.fields)]
         memo = page.rendered
         feeds = []
-        for entry in page.entries:
-            text = memo.get(entry.entry_id)
+        for entry_id in page.ids:
+            text = memo.get(entry_id)
             if text is None:
-                text = memo[entry.entry_id] = render_entry(entry, keys)
+                text = memo[entry_id] = render_entry(
+                    entry_id, times[entry_id - 1], fields[entry_id - 1], names)
             feeds.append(text)
     else:
         # [only_field], or no field if the channel lacks it, as in channel_doc
-        keys = [k for k in page.channel.fields if k == only_field]
-        feeds = [render_entry(e, keys) for e in page.entries]
+        names = [str(k) for k in page.channel.fields if k == only_field]
+        feeds = [render_entry(i, times[i - 1], fields[i - 1], names) for i in page.ids]
     return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
 
 

@@ -17,11 +17,13 @@ import re
 import secrets
 import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from operator import attrgetter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .storelog import RecordLog, fsync_directory
 
@@ -31,9 +33,13 @@ DEFAULT_RATE_LIMIT_S = 15.0
 
 # ASCII only and matched in full, so a written value needs no JSON escaping
 NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
-# the form format_timestamp writes, year zero-padded to four digits
+# the form format_timestamp writes, year zero-padded to four digits: fixed
+# width, so for years 0001-9999 these texts sort as the times they name
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
-_CREATED_AT = attrgetter("created_at")
+# the name of each field index in a log entry's "f" object; every entry
+# update stores shares these strings
+_FIELD_NAMES = {i: str(i) for i in range(1, MAX_FIELDS + 1)}
+_NAME_SET = frozenset(_FIELD_NAMES.values())
 
 
 class ServiceError(Exception):
@@ -57,6 +63,10 @@ def utc_now() -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
+    """`ts` to the second in UTC, as the wire and the log write it. A naive
+    `ts` is taken to be in UTC already."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
     # isoformat zero-pads the year, which glibc's strftime("%Y") does not
     return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
@@ -116,17 +126,64 @@ class Channel:
                 raise ValueError(f"field index {k} outside 1..{MAX_FIELDS}")
 
 
-@dataclass(frozen=True)
-class FeedPage:
+class FeedEntries(Sequence):
+    """Entries `ids` of a channel, from its rows (see _ChannelState), each
+    built as a FeedEntry when it is accessed.
+
+    Equal to a tuple of the same entries. `len` builds none.
+    """
+
+    __slots__ = ("_times", "_fields", "_ids")
+
+    def __init__(self, times: list[str], fields: list[dict[str, str]], ids: range):
+        self._times = times
+        self._fields = fields
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FeedEntries(self._times, self._fields, self._ids[index])
+        entry_id = self._ids[index]  # IndexError past either end
+        return FeedEntry(entry_id, datetime.fromisoformat(self._times[entry_id - 1]),
+                         {int(k): v for k, v in self._fields[entry_id - 1].items()})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (FeedEntries, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FeedEntries({list(self)!r})"
+
+
+class FeedPage(NamedTuple):
+    """One read: the channel, and the ids of the entries it returns, found
+    under the channel's lock. `times` and `fields` are the channel's rows
+    (see _ChannelState), which only grow, so later writes leave the page as
+    it was."""
+
     channel: Channel
-    entries: tuple[FeedEntry, ...]
+    ids: range
+    times: list[str]
+    fields: list[dict[str, str]]
     rendered: dict[int, str]    # the channel's memo; see _ChannelState
+
+    @property
+    def entries(self) -> FeedEntries:
+        return FeedEntries(self.times, self.fields, self.ids)
 
 
 @dataclass
 class _ChannelState:
+    """A channel's entries as its log holds them: entry N's created_at text
+    is times[N-1] and its "f" object, field index to value, fields[N-1]."""
+
     meta: Channel
-    entries: list[FeedEntry] = field(default_factory=list)
+    times: list[str] = field(default_factory=list)
+    fields: list[dict[str, str]] = field(default_factory=list)
     # each entry's JSON for a full-channel feed body, by entry_id: filled by
     # httpd.feeds_body on the entry's first read, outside the lock
     rendered: dict[int, str] = field(default_factory=dict)
@@ -135,7 +192,8 @@ class _ChannelState:
     last_accept: datetime | None = None
 
 
-def _validate_field_values(values: Mapping[int, str]) -> dict[int, str]:
+def _validate_field_values(values: Mapping[int, str]) -> dict[str, str]:
+    """`values` as an entry's "f" object: index text to value, in index order."""
     if not values:
         raise BadRequestError("at least one field value is required")
     cleaned: dict[int, str] = {}
@@ -150,7 +208,7 @@ def _validate_field_values(values: Mapping[int, str]) -> dict[int, str]:
         if not NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
             raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
         cleaned[index] = text
-    return cleaned
+    return {_FIELD_NAMES[k]: v for k, v in sorted(cleaned.items())}
 
 
 class ChannelService:
@@ -217,29 +275,24 @@ class ChannelService:
             cid = self._by_write_key.get(write_key)
         if cid is None:
             raise AuthError("unknown write key")
-        cleaned = _validate_field_values(values)
+        fields = _validate_field_values(values)
         state = self._channels[cid]
         now = self.clock()
-        ts = created_at or now
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        ts = ts.astimezone(timezone.utc).replace(microsecond=0)
+        at = format_timestamp(created_at or now)
 
         with state.lock:
             policy = state.meta.rate_limit_s
             if policy > 0 and state.last_accept is not None:
                 if (now - state.last_accept).total_seconds() < policy:
                     return 0
-            if state.entries and ts < state.entries[-1].created_at:
+            if state.times and at < state.times[-1]:
                 raise BadRequestError(
-                    f"created_at {format_timestamp(ts)} is before the channel's"
-                    f" latest entry"
-                )
-            entry_id = len(state.entries) + 1
-            entry = FeedEntry(entry_id, ts, cleaned)
+                    f"created_at {at} is before the channel's latest entry")
+            entry_id = len(state.times) + 1
             if state.log is not None:
-                state.log.append(_encode_entry(entry))
-            state.entries.append(entry)
+                state.log.append(_encode_entry(entry_id, at, fields))
+            state.times.append(at)
+            state.fields.append(fields)
             state.last_accept = now
             return entry_id
 
@@ -255,21 +308,26 @@ class ChannelService:
         if results is not None and results < 0:
             raise BadRequestError("results must be >= 0")
         n = MAX_RESULTS if results is None else min(results, MAX_RESULTS)
+        # created_at texts sort as the times; a bound with a fraction of a
+        # second falls after the entries of its whole second
+        lo_text = None if start is None else format_timestamp(start)
+        hi_text = None if end is None else format_timestamp(end)
         with state.lock:
             # entries are in created_at order: update refuses an older one
-            entries = state.entries
-            lo = 0 if start is None else bisect_left(entries, start, key=_CREATED_AT)
-            hi = (len(entries) if end is None
-                  else bisect_right(entries, end, key=_CREATED_AT))
-            window = tuple(entries[max(lo, hi - n):hi])
+            times = state.times
+            lo = 0
+            if lo_text is not None:
+                lo = (bisect_right if start.microsecond else bisect_left)(times, lo_text)
+            hi = len(times) if hi_text is None else bisect_right(times, hi_text)
+            lo = max(lo, hi - n)
             if len(state.rendered) > 2 * MAX_RESULTS:
                 # keep the newest MAX_RESULTS, the window polls repeat; copy()
                 # is atomic where iterating would race a reader's insert
-                floor = len(entries) - MAX_RESULTS
+                floor = len(times) - MAX_RESULTS
                 state.rendered = {k: v for k, v in state.rendered.copy().items()
                                   if k > floor}
             rendered = state.rendered
-        return FeedPage(state.meta, window, rendered)
+        return FeedPage(state.meta, range(lo + 1, hi + 1), times, state.fields, rendered)
 
     # -- persistence --------------------------------------------------------
 
@@ -307,10 +365,10 @@ class ChannelService:
             meta = Channel(**{**item, "fields": fields})
             log = self._open_log(meta.id)
             try:
-                entries = _decode_entries(log.replay())
+                times, fields = _decode_entries(log.replay())
             except CorruptStateError as exc:
                 raise CorruptStateError(f"channel {meta.id}: {exc}") from None
-            state = _ChannelState(meta=meta, entries=entries, log=log)
+            state = _ChannelState(meta=meta, times=times, fields=fields, log=log)
             self._channels[meta.id] = state
             self._by_write_key[meta.write_key] = meta.id
 
@@ -331,63 +389,110 @@ class CorruptStateError(ServiceError):
 _DECODE_CHUNK = 256
 
 
-def _encode_entry(entry: FeedEntry) -> bytes:
-    """The log record of `entry`, `{"id":N,"at":"…","f":{"1":…}}` with the
-    fields in index order: byte-identical to `json.dumps` of that dict with
-    separators (",", ":")."""
-    fields = ",".join([f'"{k}":{json_string(v)}'
-                       for k, v in sorted(entry.fields.items())])
-    return (f'{{"id":{entry.entry_id},"at":"{format_timestamp(entry.created_at)}",'
-            f'"f":{{{fields}}}}}').encode()
+_ID, _AT, _F = itemgetter("id"), itemgetter("at"), itemgetter("f")
+# a chunk's created_at texts, each followed by a newline
+_TIMES_RE = re.compile(rf"(?:{_TIMESTAMP_RE.pattern}\n)*", re.ASCII)
 
 
-def _decode_entries(records: list[bytes]) -> list[FeedEntry]:
-    """The entries a channel log's records hold, in order. Raises
-    CorruptStateError at the first record that is not exactly one entry, or
-    whose entry_id is not its 1-based position.
+def _encode_entry(entry_id: int, at: str, fields: Mapping[str, str]) -> bytes:
+    """The log record `{"id":N,"at":"…","f":{"1":…}}` of entry `entry_id`,
+    created at `at` (format_timestamp's text), with `fields` in the order
+    given: byte-identical to `json.dumps` of that dict with separators
+    (",", ":")."""
+    body = ",".join([f'"{k}":{json_string(v)}' for k, v in fields.items()])
+    return f'{{"id":{entry_id},"at":"{at}","f":{{{body}}}}}'.encode()
 
-    Each chunk of records is parsed as one JSON array, the records joined by
-    a comma and a newline. Its items are the records only if each of those
-    separators is a top-level one: a raw newline cannot stand in a JSON
-    string, no object goes on with a separator and a `{`, and a chunk with no
-    `[` of its own holds no nested array. Any other chunk, like one that fails
-    to parse or has another number of items, is parsed record by record, which
-    finds the culprit.
+
+def _decode_entries(records: list[bytes]) -> tuple[list[str], list[dict[str, str]]]:
+    """The created_at texts and "f" objects of the entries a channel log's
+    records hold, in order, as _ChannelState keeps them.
+
+    Raises CorruptStateError at the first record that is not exactly one
+    entry: a JSON object whose "id" is its 1-based position, whose "at" is a
+    text parse_timestamp accepts, and whose "f" maps field indices 1 to
+    MAX_FIELDS, written as update writes them, to strings. Any other value
+    could not be served: feed bodies render each one as a string.
+
+    Each chunk of records is decoded at once (_decode_chunk). A chunk that
+    cannot be is decoded record by record, which finds the culprit.
     """
-    entries: list[FeedEntry] = []
+    times: list[str] = []
+    fields: list[dict[str, str]] = []
+    names_seen: set[tuple[str, ...]] = set()
     for first in range(0, len(records), _DECODE_CHUNK):
         chunk = records[first:first + _DECODE_CHUNK]
-        joined = b"[" + b",\n".join(chunk) + b"]"
-        docs = None
-        # the separators are the only newlines, and each is followed by a `{`
-        if (joined.count(b"\n") == joined.count(b",\n{") == len(chunk) - 1
-                and joined.count(b"[") == 1):
-            try:
-                docs = json.loads(joined.decode("utf-8"))
-            except ValueError:  # JSONDecodeError and UnicodeDecodeError
-                pass
-        if docs is None or len(docs) != len(chunk):
-            docs = [_parse_record(raw, position)
-                    for position, raw in enumerate(chunk, start=first + 1)]
-        for position, doc in enumerate(docs, start=first + 1):
-            try:
-                entry = FeedEntry(doc["id"], parse_timestamp(doc["at"]),
-                                  {int(k): v for k, v in doc["f"].items()})
-            except (LookupError, TypeError, AttributeError, ValueError,
-                    BadRequestError) as exc:
-                raise CorruptStateError(f"entry {position} is not a log entry:"
-                                        f" {type(exc).__name__}: {exc}") from None
-            if entry.entry_id != position:
-                raise CorruptStateError(
-                    f"entry_id {entry.entry_id} at position {position}; log is"
-                    f" not a clean prefix")
-            entries.append(entry)
-    return entries
+        rows = _decode_chunk(chunk, first + 1, names_seen)
+        if rows is None:
+            rows = zip(*[_decode_record(raw, position)
+                         for position, raw in enumerate(chunk, start=first + 1)])
+        chunk_times, chunk_fields = rows
+        times += chunk_times
+        fields += chunk_fields
+    return times, fields
 
 
-def _parse_record(raw: bytes, position: int):
+def _decode_chunk(chunk: list[bytes], first_id: int, names_seen: set
+                  ) -> tuple[list[str], list[dict[str, str]]] | None:
+    """The rows of entries `first_id`… held by `chunk`, if every record in it
+    is one entry, checked as _decode_entries says; else None.
+
+    The chunk is parsed as one JSON array, the records joined by a comma and
+    a newline. Its items are the records only if each of those separators is
+    a top-level one: a raw newline cannot stand in a JSON string, no object
+    goes on with a separator and a `{`, and a chunk with no `[` of its own
+    holds no nested array. The items are then checked together, each
+    distinct tuple of field names once.
+    """
+    joined = b"[" + b",\n".join(chunk) + b"]"
+    # the separators are the only newlines, and each is followed by a `{`
+    if not (joined.count(b"\n") == joined.count(b",\n{") == len(chunk) - 1
+            and joined.count(b"[") == 1):
+        return None
     try:
-        return json.loads(raw.decode("utf-8"))
+        docs = json.loads(joined.decode("utf-8"))
+        ids = list(map(_ID, docs))  # TypeError for an item that is not an object
+        times = list(map(_AT, docs))
+        fields = list(map(_F, docs))
+        # TypeError for an "f" that is not an object, or a value not a string
+        "".join(chain.from_iterable(map(dict.values, fields)))
+        text = "\n".join(times) + "\n"  # TypeError for an "at" not a string
+        # the newlines the join put in are the only ones, so each "at" is one
+        # match of the pattern; fromisoformat then checks the ranges
+        if (len(docs) != len(chunk) or ids != list(range(first_id, first_id + len(docs)))
+                or text.count("\n") != len(times) or not _TIMES_RE.fullmatch(text)
+                or not all(map(datetime.fromisoformat, times))):
+            return None
+    except (ValueError, LookupError, TypeError):  # incl. JSON and UTF-8 errors
+        return None
+    names = set(map(tuple, fields)) - names_seen
+    if not all(_NAME_SET.issuperset(n) for n in names):
+        return None
+    names_seen |= names
+    return times, fields
+
+
+def _decode_record(raw: bytes, position: int) -> tuple[str, dict[str, str]]:
+    """The created_at text and "f" object of the entry in record `raw`;
+    raises CorruptStateError if it is not the entry at `position`."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise CorruptStateError(
             f"entry {position} is not one JSON value: {exc}") from None
+    try:
+        entry_id, at = doc["id"], doc["at"]
+        parse_timestamp(at)
+        f = doc["f"]
+        for name, value in f.items():
+            if name not in _NAME_SET:
+                raise ValueError(f"field index {name!r} outside 1..{MAX_FIELDS}")
+            if type(value) is not str:
+                raise TypeError(f"field{name} value {value!r} is not a string")
+    except (LookupError, TypeError, AttributeError, ValueError,
+            BadRequestError) as exc:
+        raise CorruptStateError(f"entry {position} is not a log entry:"
+                                f" {type(exc).__name__}: {exc}") from None
+    if entry_id != position:
+        raise CorruptStateError(f"entry_id {entry_id} at position {position}; log is"
+                                f" not a clean prefix")
+    return at, f

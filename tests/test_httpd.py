@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agristack import httpd
-from agristack.service import ChannelService, FeedEntry, _encode_entry, format_timestamp
+from agristack.service import ChannelService, _encode_entry, format_timestamp
 from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
 
@@ -248,7 +248,8 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
     service.close()
     log = RecordLog(tmp_path / "channel_1.log", fsync=False)
     at = datetime(2024, 12, 15, tzinfo=timezone.utc)
-    log.append(_encode_entry(FeedEntry(1, at, {1: "1\n", 2: "\u0663", 3: "2.5"})))
+    log.append(_encode_entry(1, format_timestamp(at),
+                             {"1": "1\n", "2": "\u0663", "3": "2.5"}))
     log.close()
 
     revived = ChannelService(data_dir=tmp_path, fsync=False)

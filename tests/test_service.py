@@ -1,26 +1,32 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
 import sys
+import tempfile
 import threading
+import time
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agristack import httpd
+from agristack import httpd, storelog
 from agristack import service as service_module
 from agristack.httpd import feeds_body
-from agristack.service import (MAX_RESULTS, AuthError, BadRequestError, Channel,
-                               ChannelService, CorruptStateError, FeedEntry,
-                               UnknownChannelError, _decode_entries, _encode_entry,
-                               format_timestamp, parse_timestamp)
+from agristack.service import (MAX_FIELDS, MAX_RESULTS, AuthError, BadRequestError,
+                               Channel, ChannelService, CorruptStateError, FeedEntries,
+                               FeedEntry, UnknownChannelError, _decode_entries,
+                               _encode_entry, format_timestamp, parse_timestamp)
 from agristack.storelog import RecordLog
 from tests.conftest import FIELD_LABELS, WRITE_KEY
+from tests.test_httpd import reference_feeds_body
 
 T = lambda s: parse_timestamp(s)  # noqa: E731
 
@@ -126,6 +132,18 @@ def test_read_feeds_window(memory_service):
     assert empty.entries == ()
 
 
+def test_window_bounds_with_a_fraction_of_a_second(memory_service):
+    # entries are stored to the second; a bound between two seconds keeps
+    # the entries on its side of it
+    for i in range(5):
+        memory_service.update(WRITE_KEY, {1: f"{i}.0"},
+                              created_at=T(f"2024-12-15T10:00:0{i}Z"))
+    half = timedelta(milliseconds=500)
+    page = memory_service.read_feeds(1, start=T("2024-12-15T10:00:01Z") + half,
+                                     end=T("2024-12-15T10:00:03Z") + half)
+    assert [e.entry_id for e in page.entries] == [3, 4]
+
+
 def test_unknown_channel(memory_service):
     with pytest.raises(UnknownChannelError):
         memory_service.read_feeds(42)
@@ -224,6 +242,112 @@ def test_recovery_refuses_corrupt_interior_record(tmp_path, clock):
     with pytest.raises(CorruptLogError) as err:
         ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
     assert err.value.offset == 0
+
+
+class InjectedFaults:
+    """Stands in for storelog's `os` and, by `open_file`, its `open`.
+
+    Numbers each write, flush and fsync the log makes while `armed`, and
+    fails number `fail_at` in the way `how` says: "raise" before any byte,
+    "partial" after three bytes, or "short", a write that returns after
+    three bytes without an error."""
+
+    def __init__(self, fail_at: int = 0, how: str = "raise"):
+        self.fail_at = fail_at
+        self.how = how
+        self.points: list[str] = []
+        self.armed = True
+
+    def _fails(self, kind: str) -> bool:
+        if not self.armed:
+            return False
+        self.points.append(kind)
+        return len(self.points) == self.fail_at
+
+    def open_file(self, *args, **kwargs):
+        return _FaultyFile(open(*args, **kwargs), self)
+
+    def fsync(self, fd):
+        if self._fails("fsync"):
+            raise OSError(errno.EIO, "injected fsync failure")
+        os.fsync(fd)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+class _FaultyFile:
+    def __init__(self, fh, faults: InjectedFaults):
+        self._fh = fh
+        self._faults = faults
+
+    def write(self, data):
+        if not self._faults._fails("write"):
+            return self._fh.write(data)
+        if self._faults.how == "raise":
+            raise OSError(errno.ENOSPC, "injected write failure")
+        self._fh.write(data[:3])
+        if self._faults.how == "partial":
+            raise OSError(errno.ENOSPC, "injected write failure")
+        return 3
+
+    def flush(self):
+        if self._faults._fails("flush"):
+            raise OSError(errno.EIO, "injected flush failure")
+        self._fh.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def write_under_faults(data_dir, faults, monkeypatch, writes=4):
+    """`writes` updates, then one more, on a fresh fsynced channel with
+    `faults` in place; returns the (entry_id, value) pairs acknowledged, and
+    the values whose update raised."""
+    service = ChannelService(data_dir=data_dir, fsync=True)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    monkeypatch.setattr(storelog, "open", faults.open_file, raising=False)
+    monkeypatch.setattr(storelog, "os", faults)
+    try:
+        acked, failed = [], []
+        for i in range(writes):
+            value = f"{i}.5"
+            try:
+                acked.append((service.update(WRITE_KEY, {1: value}), value))
+            except OSError:
+                failed.append(value)
+        faults.armed = False
+        # the channel takes the next write, under the next id
+        assert service.update(WRITE_KEY, {1: "9.5"}) == len(acked) + 1
+        acked.append((len(acked) + 1, "9.5"))
+    finally:
+        service.close()
+        monkeypatch.undo()
+    return acked, failed
+
+
+def test_a_failed_append_stores_nothing_and_the_channel_goes_on(tmp_path, monkeypatch):
+    clean = InjectedFaults()
+    write_under_faults(tmp_path / "clean", clean, monkeypatch)
+    cases = [(n, how) for n, kind in enumerate(clean.points, start=1)
+             for how in (("raise", "partial", "short") if kind == "write" else ("raise",))]
+    assert {kind for kind in clean.points} == {"write", "fsync"}
+    for n, how in cases:
+        data_dir = tmp_path / f"{n}-{how}"
+        acked, failed = write_under_faults(data_dir, InjectedFaults(n, how), monkeypatch)
+        assert len(failed) == 1, (n, how)
+        revived = ChannelService(data_dir=data_dir, fsync=False)
+        try:
+            stored = [(e.entry_id, e.fields[1]) for e in revived.read_feeds(1).entries]
+        finally:
+            revived.close()
+        assert stored == acked, (n, how)
 
 
 def test_channel_metadata_survives_restart(tmp_path, clock):
@@ -343,6 +467,22 @@ def test_concurrent_writers_get_gapless_ids(clock):
     assert sorted(ids) == list(range(1, 401))
 
 
+def test_a_naive_time_is_taken_as_utc_by_writes_reads_and_clients(memory_service,
+                                                                  monkeypatch):
+    monkeypatch.setenv("TZ", "ABC+3")  # a local zone three hours west of UTC
+    time.tzset()
+    try:
+        naive = datetime(2024, 12, 15, 10, 0, 0)
+        # what HttpServiceClient sends, and LocalServiceClient hands update
+        assert format_timestamp(naive) == "2024-12-15T10:00:00Z"
+        memory_service.update(WRITE_KEY, {1: "1.0"}, created_at=naive)
+        page = memory_service.read_feeds(1, start=naive, end=naive)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert [e.created_at for e in page.entries] == [naive.replace(tzinfo=timezone.utc)]
+
+
 def test_timestamp_roundtrip():
     ts = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
     assert parse_timestamp(format_timestamp(ts)) == ts
@@ -421,6 +561,77 @@ def test_read_feeds_matches_brute_force_filter(offsets, results, start, end):
     assert [(e.entry_id, e.created_at) for e in page.entries] == want
 
 
+DECLARED = {1: "T", 2: "P", 4: "R"}
+reading = st.from_regex(r"-?[0-9]{1,3}\.[0-9][0-9]", fullmatch=True)
+compact_ops = st.lists(st.one_of(
+    # an update: the step from the last created_at, often 0, and the values
+    st.tuples(st.just("update"), st.integers(-1, 3),
+              st.dictionaries(st.integers(1, 5), reading, min_size=1)),
+    # a read: results, start and end as offsets from the base, only_field
+    st.tuples(st.just("read"), st.one_of(st.none(), st.integers(0, 12)),
+              st.one_of(st.none(), st.integers(-1, 30)),
+              st.one_of(st.none(), st.integers(-1, 30)),
+              st.sampled_from([None, 1, 4]))),
+    max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=compact_ops,
+       base=st.sampled_from([BASE, datetime(999, 12, 31, 23, 59, 55, tzinfo=timezone.utc)]))
+def test_compact_state_serves_what_a_list_of_feed_entries_would(ops, base):
+    at = lambda s: base + timedelta(seconds=s)  # noqa: E731
+    reference: list[FeedEntry] = []
+
+    def window(results, start, end) -> tuple[FeedEntry, ...]:
+        want = [e for e in reference if (start is None or e.created_at >= start)
+                and (end is None or e.created_at <= end)]
+        return tuple(want[max(0, len(want) - (MAX_RESULTS if results is None
+                                              else results)):])
+
+    reads = []
+    with tempfile.TemporaryDirectory() as data_dir:
+        service = ChannelService(data_dir=data_dir, fsync=False)
+        try:
+            channel = service.create_channel("c", DECLARED, write_key=WRITE_KEY,
+                                             rate_limit_s=0.0)
+            t = 0
+            for op in ops:
+                if op[0] == "update":
+                    _, step, values = op
+                    if reference and at(t + step) < reference[-1].created_at:
+                        with pytest.raises(BadRequestError):
+                            service.update(WRITE_KEY, values, created_at=at(t + step))
+                        continue
+                    t += step
+                    entry_id = service.update(WRITE_KEY, values, created_at=at(t))
+                    reference.append(FeedEntry(entry_id, at(t), dict(values)))
+                    continue
+                _, results, start, end, only_field = op
+                kwargs = dict(results=results, start=None if start is None else at(start),
+                              end=None if end is None else at(end))
+                want = window(**kwargs)
+                page = service.read_feeds(1, **kwargs)
+                with patch.object(service_module, "FeedEntry", wraps=FeedEntry) as built:
+                    assert len(page.entries) == len(want)
+                    full = feeds_body(page)
+                    one = feeds_body(page, only_field)
+                assert built.call_count == 0
+                assert page.entries == want
+                model = SimpleNamespace(channel=channel, entries=want)
+                assert full == reference_feeds_body(model)
+                assert one == reference_feeds_body(model, only_field)
+                reads.append((kwargs, only_field))
+        finally:
+            service.close()
+        revived = ChannelService(data_dir=data_dir, fsync=False)
+        revived.close()
+    for kwargs, only_field in reads:
+        page, again = service.read_feeds(1, **kwargs), revived.read_feeds(1, **kwargs)
+        assert again.entries == page.entries == window(**kwargs)
+        assert feeds_body(again) == feeds_body(page)
+        assert feeds_body(again, only_field) == feeds_body(page, only_field)
+
+
 def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
     for i in range(50):
         memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
@@ -428,9 +639,9 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
 
     render_entry = httpd.render_entry
 
-    def counting_render(entry, keys):
-        rendered.append(entry.entry_id)
-        return render_entry(entry, keys)
+    def counting_render(entry_id, created_at, fields, names):
+        rendered.append(entry_id)
+        return render_entry(entry_id, created_at, fields, names)
 
     monkeypatch.setattr(httpd, "render_entry", counting_render)
     first = feeds_body(memory_service.read_feeds(1, results=40))
@@ -491,6 +702,12 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
 # -- the log entry codec ------------------------------------------------------
 
 
+def record(entry: FeedEntry) -> bytes:
+    """The log record of `entry`, as update writes it."""
+    return _encode_entry(entry.entry_id, format_timestamp(entry.created_at),
+                         {str(k): v for k, v in sorted(entry.fields.items())})
+
+
 def reference_encode_entry(entry: FeedEntry) -> bytes:
     """The log record as json.dumps of a dict wrote it, before the template."""
     doc = {
@@ -514,31 +731,35 @@ def reference_decode_entry(raw: bytes) -> FeedEntry:
 CHUNK = service_module._DECODE_CHUNK
 any_text = st.text(st.characters(exclude_categories=()), max_size=6)  # surrogates too
 decimal_text = st.from_regex(service_module.NUMBER_RE, fullmatch=True)
-log_entries = st.builds(
-    FeedEntry,
-    entry_id=st.integers(1, 10**12),
-    created_at=st.datetimes(min_value=datetime(1, 1, 1),
-                            max_value=datetime(9999, 12, 31, 23, 59, 59),
-                            timezones=st.just(timezone.utc)),
-    fields=st.dictionaries(st.integers(0, 99),
-                           st.one_of(any_text, decimal_text),
-                           max_size=8),
-)
+
+
+def entries_with(indices):
+    return st.builds(
+        FeedEntry,
+        entry_id=st.integers(1, 10**12),
+        created_at=st.datetimes(min_value=datetime(1, 1, 1),
+                                max_value=datetime(9999, 12, 31, 23, 59, 59),
+                                timezones=st.just(timezone.utc)),
+        fields=st.dictionaries(indices, st.one_of(any_text, decimal_text), max_size=8),
+    )
+
+
+log_entries = entries_with(st.integers(0, 99))
 
 
 @settings(max_examples=150, deadline=None)
 @given(entry=log_entries)
 def test_encode_entry_matches_the_json_dumps_reference(entry):
-    assert _encode_entry(entry) == reference_encode_entry(entry)
+    assert record(entry) == reference_encode_entry(entry)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @settings(max_examples=5, deadline=None)
-@given(rows=st.lists(log_entries, min_size=1, max_size=4))
+@given(rows=st.lists(entries_with(st.integers(1, MAX_FIELDS)), min_size=1, max_size=4))
 def test_decode_entries_matches_the_per_record_reference(n, rows):
-    records = [_encode_entry(replace(rows[i % len(rows)], entry_id=i + 1))
-               for i in range(n)]
-    assert _decode_entries(records) == [reference_decode_entry(r) for r in records]
+    records = [record(replace(rows[i % len(rows)], entry_id=i + 1)) for i in range(n)]
+    decoded = FeedEntries(*_decode_entries(records), range(1, n + 1))
+    assert decoded == tuple(reference_decode_entry(r) for r in records)
 
 
 def test_intact_records_are_parsed_one_chunk_at_a_time(monkeypatch):
@@ -546,9 +767,8 @@ def test_intact_records_are_parsed_one_chunk_at_a_time(monkeypatch):
     loads = json.loads
     monkeypatch.setattr(service_module.json, "loads",
                         lambda text: parsed.append(len(text)) or loads(text))
-    records = [_encode_entry(FeedEntry(i, BASE, {1: "1.0"}))
-               for i in range(1, 2 * CHUNK + 2)]
-    assert len(_decode_entries(records)) == 2 * CHUNK + 1
+    records = [record(FeedEntry(i, BASE, {1: "1.0"})) for i in range(1, 2 * CHUNK + 2)]
+    assert len(_decode_entries(records)[0]) == 2 * CHUNK + 1
     assert len(parsed) == 3
 
 
@@ -564,8 +784,8 @@ def write_log(tmp_path, payloads):
     log.close()
 
 
-ENTRY_2 = _encode_entry(FeedEntry(2, BASE, {1: "2.0"}))
-ENTRY_3 = _encode_entry(FeedEntry(3, BASE, {1: "3.0"}))
+ENTRY_2 = record(FeedEntry(2, BASE, {1: "2.0"}))
+ENTRY_3 = record(FeedEntry(3, BASE, {1: "3.0"}))
 AT = b'"at":"2024-12-15T10:00:00Z"'
 
 
@@ -582,9 +802,18 @@ AT = b'"at":"2024-12-15T10:00:00Z"'
     b'{"id":2,' + AT + b',"f":["2.0"]}',
     b'[2]',
     b'\xff',
+    # no read could serve these: feed bodies render fields 1..8 as strings
+    b'{"id":2,' + AT + b',"f":{"1":2.0}}',
+    b'{"id":2,' + AT + b',"f":{"1":null}}',
+    b'{"id":2,' + AT + b',"f":{"9":"2.0"}}',
+    b'{"id":2,' + AT + b',"f":{"0":"2.0"}}',
+    b'{"id":2,' + AT + b',"f":{"01":"2.0"}}',
+    b'{"id":2,"at":"2024-13-15T10:00:00Z","f":{"1":"2.0"}}',
+    b'{"id":2,"at":"2024-12-15T10:00:00+00:00","f":{"1":"2.0"}}',
 ], ids=["not-json", "empty", "two-values", "two-values-comma", "no-id", "no-at",
         "no-f", "short-year", "bad-field-index", "f-not-object", "array",
-        "not-utf8"])
+        "not-utf8", "value-not-string", "value-null", "field-index-9",
+        "field-index-0", "field-index-not-canonical", "month-13", "utc-offset"])
 def test_record_that_is_not_one_entry_is_corrupt_state(tmp_path, payload):
     write_log(tmp_path, [payload, ENTRY_3])
     with pytest.raises(CorruptStateError, match=r"^channel 1: entry 2 "):
@@ -608,12 +837,11 @@ def test_entries_split_across_records_are_corrupt_state(tmp_path, second, third)
 
 
 def test_corrupt_record_position_counts_across_chunks():
-    records = [_encode_entry(FeedEntry(i, BASE, {1: "1.0"}))
-               for i in range(1, 2 * CHUNK + 2)]
+    records = [record(FeedEntry(i, BASE, {1: "1.0"})) for i in range(1, 2 * CHUNK + 2)]
     records[CHUNK + 5] = b"not json"
     with pytest.raises(CorruptStateError, match=rf"^entry {CHUNK + 6} is not"):
         _decode_entries(records)
-    records[CHUNK + 5] = _encode_entry(FeedEntry(CHUNK + 7, BASE, {1: "1.0"}))
+    records[CHUNK + 5] = record(FeedEntry(CHUNK + 7, BASE, {1: "1.0"}))
     with pytest.raises(CorruptStateError,
                        match=rf"^entry_id {CHUNK + 7} at position {CHUNK + 6};"):
         _decode_entries(records)

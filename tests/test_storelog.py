@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import struct
 
 import pytest
 
+from agristack import storelog
 from agristack.storelog import CorruptLogError, RecordLog
 
 
@@ -83,12 +85,25 @@ def test_tail_torn_at_every_byte_of_the_last_record(tmp_path):
         assert log.path.stat().st_size == good_end
 
 
+def test_zero_filled_torn_tail_is_still_a_torn_tail(tmp_path):
+    # a file system may extend a file with zeros that were never written;
+    # eight of them read as an empty record whose checksum holds
+    log = make_log(tmp_path, [b"alpha", b"bravo-charlie-delta-echo"])
+    data = log.path.read_bytes()
+    good_end = 8 + len(b"alpha")
+    log.path.write_bytes(data[:good_end + 8 + 2] + bytes(10))
+    assert log.replay() == [b"alpha"]
+    assert log.path.stat().st_size == good_end
+
+
 @pytest.mark.parametrize("length, crc_flip, detail", [
     ((1 << 20) + 1, 0, "record length"),
     (21, 0, "checksum mismatch"),      # runs into the next header
     (19, 0, "checksum mismatch"),      # stops short of its payload
     (20, 1, "checksum mismatch"),      # one bit of the crc flipped
-], ids=["over-maximum", "one-long", "one-short", "crc"])
+    # past the end of the file, like a torn tail, but a record follows
+    (1000, 0, "runs past the end of the file, but a record starts at offset 56"),
+], ids=["over-maximum", "one-long", "one-short", "crc", "past-the-end"])
 def test_bad_length_or_crc_in_the_middle_record_reports_its_offset(
         tmp_path, length, crc_flip, detail):
     payloads = [b"a" * 20, b"b" * 20, b"c" * 20]
@@ -145,3 +160,32 @@ def test_log_without_fsync_makes_no_fsync_call(tmp_path, monkeypatch):
     calls = _record_fsyncs(monkeypatch)
     make_log(tmp_path, [b"one", b"two"], fsync=False)
     assert calls == []
+
+
+def test_log_refuses_appends_when_a_failed_append_cannot_be_cut_off(tmp_path, monkeypatch):
+    log = RecordLog(tmp_path / "chan.log", fsync=True)
+    log.append(b"one")
+
+    class BrokenOs:
+        def fsync(self, fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        def ftruncate(self, fd, length):
+            raise OSError(errno.EIO, "injected truncate failure")
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+    monkeypatch.setattr(storelog, "os", BrokenOs())
+    with pytest.raises(OSError, match="injected fsync failure"):
+        log.append(b"two")
+    monkeypatch.setattr(storelog, "os", os)
+    size = log.path.stat().st_size
+    with pytest.raises(OSError, match="replay the log"):
+        log.append(b"three")
+    assert log.path.stat().st_size == size  # nothing written
+    # "two" was written in full, so a reopen keeps it
+    assert log.replay() == [b"one", b"two"]
+    log.append(b"three")
+    log.close()
+    assert RecordLog(log.path).replay() == [b"one", b"two", b"three"]
