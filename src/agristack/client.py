@@ -1,7 +1,8 @@
 """Clients for the channel service wire protocol.
 
 `HttpServiceClient` talks to a live server; `LocalServiceClient` drives a
-ChannelService in-process through the same serialization, so anything built
+ChannelService in-process. Both return the same documents for the same reads,
+the dicts a feed body parses to, and raise the same errors, so anything built
 on the client behaves identically in either mode.
 """
 
@@ -141,7 +142,12 @@ class HttpServiceClient:
 
 
 class LocalServiceClient:
-    """Same surface as HttpServiceClient, against an in-process service."""
+    """Same surface as HttpServiceClient, against an in-process service.
+
+    A read returns the document `httpd.feed_doc` builds from the service's
+    page, equal to the one the HTTP client parses from the wire body, with no
+    JSON rendered or parsed on the way.
+    """
 
     def __init__(self, channel_service: ChannelService, write_key: str | None = None,
                  read_key: str | None = None):
@@ -164,7 +170,7 @@ class LocalServiceClient:
             end=parse_timestamp(end) if end else None,
             read_key=self.read_key,
         )
-        return json.loads(httpd.feeds_body(page))
+        return httpd.feed_doc(page)
 
     def read_field(self, channel_id: int, field_index: int,
                    results: int | None = None) -> dict:
@@ -172,4 +178,4 @@ class LocalServiceClient:
                                        read_key=self.read_key)
         if field_index not in page.channel.fields:
             raise UnknownChannelError(f"channel has no field {field_index}")
-        return json.loads(httpd.feeds_body(page, only_field=field_index))
+        return httpd.feed_doc(page, only_field=field_index)

@@ -4,7 +4,8 @@ Endpoints (all GET, plain text or JSON bodies as noted):
 
   /update?api_key=KEY&field1=..&field8=..[&created_at=YYYY-MM-DDTHH:MM:SSZ]
       200 body = decimal entry_id, or "0" when rate-limited.
-      401 (bad key) / 400 (malformed request) with body "0".
+      401 (bad key) / 400 (malformed request) / 503 (the entry could not be
+      stored, as on an I/O error of the log) with body "0".
 
   /channels/{id}/feeds.json?results=N[&start=..&end=..][&api_key=READ_KEY]
       {"channel":{"id":..,"name":..,"field1":..},"feeds":[{"created_at":..,
@@ -45,11 +46,19 @@ _POLL_INTERVAL_S = 0.05
 _IDLE_TIMEOUT_S = 60
 
 
+def _doc_fields(channel: svc.Channel, only_field: int | None) -> list[int]:
+    """The field indices a feed doc of `channel` carries, in order: every
+    declared one with no `only_field`, else [only_field], or none if the
+    channel lacks that field."""
+    if only_field is None:
+        return sorted(channel.fields)
+    return [only_field] if only_field in channel.fields else []
+
+
 def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     doc: dict = {"id": channel.id, "name": channel.name}
-    for k in sorted(channel.fields):
-        if only_field is None or k == only_field:
-            doc[f"field{k}"] = channel.fields[k]
+    for k in _doc_fields(channel, only_field):
+        doc[f"field{k}"] = channel.fields[k]
     return doc
 
 
@@ -78,9 +87,9 @@ def render_entry(entry_id: int, created_at: str, fields: Mapping[str, str],
 def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
     header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
     times, fields = page.times, page.fields
+    names = [str(k) for k in _doc_fields(page.channel, only_field)]
     if only_field is None:
         # Two threads racing on one entry store equal strings.
-        names = [str(k) for k in sorted(page.channel.fields)]
         memo = page.rendered
         feeds = []
         for entry_id in page.ids:
@@ -90,10 +99,27 @@ def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
                     entry_id, times[entry_id - 1], fields[entry_id - 1], names)
             feeds.append(text)
     else:
-        # [only_field], or no field if the channel lacks it, as in channel_doc
-        names = [str(k) for k in page.channel.fields if k == only_field]
         feeds = [render_entry(i, times[i - 1], fields[i - 1], names) for i in page.ids]
     return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
+
+
+def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
+    """The document `json.loads(feeds_body(page, only_field))` returns, built
+    from the page's rows without rendering it.
+
+    Each call builds fresh dicts; the values are the channel's own strings,
+    None where an entry has no value. The `rendered` memo is not touched.
+    """
+    keys = [(str(k), f"field{k}") for k in _doc_fields(page.channel, only_field)]
+    times, fields = page.times, page.fields
+    feeds = []
+    for entry_id in page.ids:
+        item = {"created_at": times[entry_id - 1], "entry_id": entry_id}
+        values = fields[entry_id - 1]
+        for name, key in keys:
+            item[key] = values.get(name)
+        feeds.append(item)
+    return {"channel": channel_doc(page.channel, only_field), "feeds": feeds}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -159,7 +185,15 @@ class _Handler(BaseHTTPRequestHandler):
         created_at = None
         if "created_at" in params:
             created_at = svc.parse_timestamp(params["created_at"])
-        entry_id = self.service.update(key, values, created_at)
+        try:
+            entry_id = self.service.update(key, values, created_at)
+        except OSError as exc:
+            # RecordLog cut the record back off, or refuses appends from now
+            # on if it could not: nothing was acknowledged, so the writer may
+            # send the entry again
+            log.error("update not stored: %r", exc)
+            self._text(503, "0")
+            return
         self._text(200, str(entry_id))
 
     def _handle_feeds(self, channel_id: int, params: dict[str, str],

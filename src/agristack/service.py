@@ -313,7 +313,8 @@ class ChannelService:
         lo_text = None if start is None else format_timestamp(start)
         hi_text = None if end is None else format_timestamp(end)
         with state.lock:
-            # entries are in created_at order: update refuses an older one
+            # entries are in created_at order: update refuses an older one,
+            # and recovery a log that holds one
             times = state.times
             lo = 0
             if lo_text is not None:
@@ -366,6 +367,7 @@ class ChannelService:
             log = self._open_log(meta.id)
             try:
                 times, fields = _decode_entries(log.replay())
+                _check_order(times)
             except CorruptStateError as exc:
                 raise CorruptStateError(f"channel {meta.id}: {exc}") from None
             state = _ChannelState(meta=meta, times=times, fields=fields, log=log)
@@ -429,6 +431,16 @@ def _decode_entries(records: list[bytes]) -> tuple[list[str], list[dict[str, str
         times += chunk_times
         fields += chunk_fields
     return times, fields
+
+
+def _check_order(times: list[str]) -> None:
+    """Raise CorruptStateError at the first entry whose created_at text is
+    before the one of the entry before it, as update refuses: reads bisect
+    these texts."""
+    if times != sorted(times):
+        back = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
+        raise CorruptStateError(f"entry {back + 1} created_at {times[back]} is before"
+                                f" entry {back}'s {times[back - 1]}")
 
 
 def _decode_chunk(chunk: list[bytes], first_id: int, names_seen: set

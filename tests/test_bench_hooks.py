@@ -38,7 +38,8 @@ def test_tracer_installs_and_uninstall_restores_originals(monkeypatch):
             "EdgeGateway.acquire_cycle", "Publisher.publish",
             "ChannelService.__init__", "ChannelService.update",
             "ChannelService.read_feeds", "HttpServiceClient.read_feeds",
-            "LocalServiceClient.read_feeds",
+            "LocalServiceClient.read_feeds", "HttpServiceClient.read_field",
+            "LocalServiceClient.read_field",
             "RecordLog.append", "RecordLog.replay", "agristack.httpd.feeds_body",
             "agristack.storelog.os"} <= patched
     assert _namespaces() == before

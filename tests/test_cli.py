@@ -342,6 +342,20 @@ def test_serve_on_a_log_record_that_is_not_an_entry_is_data_error(capsys, tmp_pa
     assert err.startswith("data error: channel 1: entry 2 is not one JSON value")
 
 
+def test_serve_on_a_log_whose_created_at_goes_back_is_data_error(capsys, tmp_path):
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    service.create_channel("c", ["A"], write_key=WRITE_KEY, rate_limit_s=0.0)
+    service.close()
+    log = RecordLog(tmp_path / "channel_1.log", fsync=False)
+    for entry_id, at in enumerate(["10:00:05", "10:00:01", "10:00:09"], start=1):
+        log.append(f'{{"id":{entry_id},"at":"2024-12-15T{at}Z","f":{{"1":"1.0"}}}}'.encode())
+    log.close()
+    code, _, err = run_cli(capsys, "serve", "--port", "0", "--data-dir", str(tmp_path))
+    assert code == 3
+    assert err.startswith("data error: channel 1: entry 2 created_at 2024-12-15T10:00:01Z"
+                          " is before entry 1's 2024-12-15T10:00:05Z")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 1
     assert main(["run", "--speed", "verymuch"]) == 1

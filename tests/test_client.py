@@ -10,6 +10,7 @@ import threading
 import time
 from base64 import b64encode
 from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import agristack
 from agristack import httpd
 from agristack.client import HttpServiceClient, LocalServiceClient, ServiceUnavailable
-from agristack.service import BadRequestError
+from agristack.service import AuthError, BadRequestError, UnknownChannelError
 from tests.conftest import WRITE_KEY
 
 VALUES = {1: "22.04", 2: "1013.05", 3: "30.00", 4: "0"}
@@ -130,6 +131,43 @@ def test_both_clients_reject_a_malformed_start(http_server, memory_service, no_p
             client.read_feeds(1, start="2025-1-1T00:00:00Z")
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_both_clients_return_the_same_docs_for_the_operators_reads(
+        http_server, memory_service, no_proxy_env):
+    at = datetime(2024, 12, 15, 10, tzinfo=timezone.utc)
+    for i in range(100):  # some entries lack field 1, the others fields 2 and 4
+        values = {1: f"{20 + i / 10:.2f}", 3: "30.00"} if i % 3 else {2: "1013.05", 4: "1"}
+        memory_service.update(WRITE_KEY, values, created_at=at + timedelta(seconds=10 * i))
+    memory_service.create_channel("private", ["A"], write_key="TESTWRITEKEY0002",
+                                  read_key="TESTREADKEY00002", rate_limit_s=0.0)
+    memory_service.update("TESTWRITEKEY0002", {1: "1.5"})
+    start, end = "2024-12-15T10:05:00Z", "2024-12-15T10:10:00Z"
+    reads = [  # the watcher's poll, then the table, plot and window queries
+        lambda c: c.read_feeds(1, results=8000),
+        lambda c: c.read_feeds(1, results=20),
+        lambda c: c.read_field(1, 1, results=60),
+        lambda c: c.read_feeds(1, start=start, end=end),
+    ]
+    clients = (LocalServiceClient(memory_service),
+               HttpServiceClient(http_server.endpoint))
+    for read in reads:
+        local, remote = (read(c) for c in clients)
+        assert local["feeds"] and local == remote
+    private = (LocalServiceClient(memory_service, read_key="TESTREADKEY00002"),
+               HttpServiceClient(http_server.endpoint, read_key="TESTREADKEY00002"))
+    for read in (lambda c: c.read_feeds(2), lambda c: c.read_field(2, 1)):
+        local, remote = (read(c) for c in private)
+        assert local["feeds"] and local == remote
+
+    errors = [(lambda c: c.read_field(1, 5), UnknownChannelError),
+              (lambda c: c.read_feeds(9), UnknownChannelError),
+              (lambda c: c.read_feeds(2), AuthError),
+              (lambda c: c.read_field(2, 1), AuthError)]
+    for read, error in errors:
+        for client in clients:
+            with pytest.raises(error):
+                read(client)
 
 
 def test_runtime_imports_no_requests():

@@ -1,6 +1,7 @@
 """Wire-protocol conformance against a live HTTP server."""
 from __future__ import annotations
 
+import errno
 import json
 import socket
 import threading
@@ -8,10 +9,13 @@ import time
 from datetime import datetime, timedelta, timezone
 
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agristack import httpd
+import pytest
+
+from agristack import httpd, storelog
+from agristack.client import HttpServiceClient, ServiceUnavailable
 from agristack.service import ChannelService, _encode_entry, format_timestamp
 from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
@@ -222,6 +226,40 @@ def test_idle_connection_is_closed(http_server, monkeypatch):
     assert elapsed < 2.0, f"idle connection held for {elapsed:.2f}s"
 
 
+def test_update_that_cannot_be_stored_is_503_on_an_open_connection(tmp_path, clock,
+                                                                   monkeypatch):
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=True)
+    service.create_channel("c", ["A"], write_key=WRITE_KEY, rate_limit_s=0.0)
+    server = httpd.ChannelHttpServer(service).start()
+    try:
+        client = HttpServiceClient(server.endpoint, write_key=WRITE_KEY)
+        assert client.update({1: "1.0"}) == 1
+        sock = client._conn.sock
+        fsync = storelog.os.fsync
+        failures = [OSError(errno.EIO, "injected fsync failure")]
+
+        def fail_once(fd):
+            if failures:
+                raise failures.pop()
+            fsync(fd)
+
+        monkeypatch.setattr(storelog.os, "fsync", fail_once)
+        with pytest.raises(ServiceUnavailable, match="status 503"):
+            client.update({1: "2.0"})
+        assert not failures
+        assert client.update({1: "3.0"}) == 2
+        assert client._conn.sock is sock        # the 503 kept the connection
+    finally:
+        server.stop()
+        service.close()
+    revived = ChannelService(data_dir=tmp_path, fsync=False)
+    try:
+        assert [dict(e.fields) for e in revived.read_feeds(1).entries] == [
+            {1: "1.0"}, {1: "3.0"}]
+    finally:
+        revived.close()
+
+
 # -- feeds_body against the dict-and-json.dumps rendering it replaced ---------
 
 def reference_feeds_body(page, only_field=None) -> str:
@@ -258,6 +296,7 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
             page = revived.read_feeds(1)
             body = httpd.feeds_body(page, only_field)
             assert body == reference_feeds_body(page, only_field)
+            assert httpd.feed_doc(page, only_field) == json.loads(body)
             assert json.loads(body)["feeds"][0].get("field1", "1\n") == "1\n"
     finally:
         revived.close()
@@ -273,9 +312,9 @@ decimals = st.one_of(st.integers().map(str),
        rows=st.lists(st.tuples(st.integers(0, 100000),
                                st.dictionaries(st.integers(1, 8), decimals, min_size=1)),
                      max_size=12),
-       results=st.integers(0, 14),
-       data=st.data())
-def test_feeds_body_matches_reference_rendering(declared, rows, results, data):
+       results=st.integers(0, 14))
+@example(declared={1, 2}, rows=[(0, {1: "1"}), (5, {2: "2", 3: "3"})], results=0)
+def test_feeds_body_matches_reference_rendering(declared, rows, results):
     # rows may leave declared fields out and carry undeclared ones
     service = ChannelService()
     service.create_channel("st\u00e5tion \"n\"", {k: f"L{k}" for k in declared},
@@ -284,7 +323,22 @@ def test_feeds_body_matches_reference_rendering(declared, rows, results, data):
     for step, values in rows:
         at += timedelta(seconds=step)
         service.update(WRITE_KEY, values, created_at=at)
-    only_field = data.draw(st.one_of(st.none(), st.sampled_from(sorted(declared))))
-    for _ in range(2):  # the second read comes from the memo
-        page = service.read_feeds(1, results=results)
-        assert httpd.feeds_body(page, only_field) == reference_feeds_body(page, only_field)
+    undeclared = sorted(set(range(1, 9)) - declared)[:1]
+    for only_field in [None, *sorted(declared), *undeclared]:
+        for _ in range(2):  # the second full read comes from the memo
+            page = service.read_feeds(1, results=results)
+            body = httpd.feeds_body(page, only_field)
+            assert body == reference_feeds_body(page, only_field)
+            assert httpd.feed_doc(page, only_field) == json.loads(body)
+
+
+def test_feed_doc_is_built_afresh_for_each_read(memory_service):
+    memory_service.update(WRITE_KEY, {1: "22.04", 3: "30.00"})
+    first = httpd.feed_doc(memory_service.read_feeds(1))
+    want = json.loads(json.dumps(first))
+    first["channel"]["field1"] = "x"
+    first["feeds"][0]["field1"] = "x"
+    first["feeds"].append({})
+    page = memory_service.read_feeds(1)
+    assert httpd.feed_doc(page) == want
+    assert json.loads(httpd.feeds_body(page)) == want

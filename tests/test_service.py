@@ -22,8 +22,9 @@ from agristack import service as service_module
 from agristack.httpd import feeds_body
 from agristack.service import (MAX_FIELDS, MAX_RESULTS, AuthError, BadRequestError,
                                Channel, ChannelService, CorruptStateError, FeedEntries,
-                               FeedEntry, UnknownChannelError, _decode_entries,
-                               _encode_entry, format_timestamp, parse_timestamp)
+                               FeedEntry, UnknownChannelError, _check_order,
+                               _decode_entries, _encode_entry, format_timestamp,
+                               parse_timestamp)
 from agristack.storelog import RecordLog
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 from tests.test_httpd import reference_feeds_body
@@ -770,6 +771,41 @@ def test_intact_records_are_parsed_one_chunk_at_a_time(monkeypatch):
     records = [record(FeedEntry(i, BASE, {1: "1.0"})) for i in range(1, 2 * CHUNK + 2)]
     assert len(_decode_entries(records)[0]) == 2 * CHUNK + 1
     assert len(parsed) == 3
+
+
+def _entries_at(seconds, legacy_at=None):
+    """Records of entries 1.. created `seconds` after BASE; the entry at
+    position `legacy_at` holds a value only a record-by-record decode takes."""
+    return [record(FeedEntry(i, BASE + timedelta(seconds=s),
+                             {1: "[" if i - 1 == legacy_at else "1.0"}))
+            for i, s in enumerate(seconds, start=1)]
+
+
+@pytest.mark.parametrize("seconds, legacy_at, back", [
+    ([5, 1, 9], None, 2),
+    ([5, 1, 9], 2, 2),                  # decoded record by record
+    (list(range(CHUNK)) + [CHUNK - 2] + list(range(CHUNK, CHUNK + 9)), None, CHUNK + 1),
+    (list(range(CHUNK)) + [CHUNK - 2] + list(range(CHUNK, CHUNK + 9)), CHUNK + 3, CHUNK + 1),
+], ids=["three-entries", "per-record", "chunk-boundary", "chunk-boundary-per-record"])
+def test_log_whose_created_at_goes_back_is_corrupt_state(tmp_path, seconds, legacy_at, back):
+    # reads bisect the created_at texts: with entries at 10:00:05, 10:00:01
+    # and 10:00:09, the window 10:00:00..10:00:02 would return entries 1 and 2
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    service.close()
+    log = RecordLog(tmp_path / "channel_1.log", fsync=False)
+    for payload in _entries_at(seconds, legacy_at):
+        log.append(payload)
+    log.close()
+    at, before = (format_timestamp(BASE + timedelta(seconds=seconds[i]))
+                  for i in (back - 1, back - 2))
+    with pytest.raises(CorruptStateError, match=rf"^channel 1: entry {back} created_at"
+                       rf" {at} is before entry {back - 1}'s {before}$"):
+        ChannelService(data_dir=tmp_path, fsync=False)
+
+
+def test_entries_with_equal_created_at_are_in_order():
+    _check_order([format_timestamp(BASE)] * (CHUNK + 2))
 
 
 def write_log(tmp_path, payloads):
