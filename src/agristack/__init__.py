@@ -18,14 +18,14 @@ from .envsim import (EnvSample, ScenarioSpec, load_bundled_scenario,
 from .gateway import (EdgeGateway, EnergyLedger, LcdFrame, Publisher, Reading,
                       RetryPolicy, indicator_states, render_lcd)
 from .pipeline import RunReport, run_pipeline
-from .service import Channel, ChannelService, FeedEntry
+from .service import Channel, ChannelService
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlertEngine", "AlertEvent", "AlertRule", "Channel", "ChannelService",
     "DEFAULT_MAPS", "DutyCycleConfig", "EdgeGateway", "EnergyLedger",
-    "EnvSample", "FeedEntry", "Forecast", "ForecastConfig",
+    "EnvSample", "Forecast", "ForecastConfig",
     "IrrigationAction", "IrrigationCommand", "LcdFrame", "PowerSchedule",
     "Publisher", "Reading", "RetryPolicy", "RunReport", "ScenarioSpec",
     "ScheduleInterval", "SpiFrame", "TransferFunction", "decode",

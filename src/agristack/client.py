@@ -176,6 +176,4 @@ class LocalServiceClient:
                    results: int | None = None) -> dict:
         page = self.service.read_feeds(channel_id, results=results,
                                        read_key=self.read_key)
-        if field_index not in page.channel.fields:
-            raise UnknownChannelError(f"channel has no field {field_index}")
         return httpd.feed_doc(page, only_field=field_index)

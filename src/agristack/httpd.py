@@ -15,6 +15,10 @@ Endpoints (all GET, plain text or JSON bodies as noted):
   /channels/{id}/fields/{n}.json?results=N
       Same shape restricted to one field.
 
+Each ChannelHttpServer keeps a memo per channel of the entry texts that
+full-channel feed bodies are joined from. Once a memo holds more than
+2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of them.
+
 Every reply goes out as two sends, headers then body, so TCP_NODELAY is set on
 each connection: with Nagle's algorithm on, the body would wait for the peer's
 delayed ACK, about 40 ms per request on loopback.
@@ -48,11 +52,13 @@ _IDLE_TIMEOUT_S = 60
 
 def _doc_fields(channel: svc.Channel, only_field: int | None) -> list[int]:
     """The field indices a feed doc of `channel` carries, in order: every
-    declared one with no `only_field`, else [only_field], or none if the
-    channel lacks that field."""
+    declared one with no `only_field`, else [only_field]. Raises
+    UnknownChannelError if the channel lacks `only_field`."""
     if only_field is None:
         return sorted(channel.fields)
-    return [only_field] if only_field in channel.fields else []
+    if only_field not in channel.fields:
+        raise svc.UnknownChannelError(f"channel has no field {only_field}")
+    return [only_field]
 
 
 def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
@@ -84,13 +90,21 @@ def render_entry(entry_id: int, created_at: str, fields: Mapping[str, str],
     return "".join(parts)
 
 
-def feeds_body(page: svc.FeedPage, only_field: int | None = None) -> str:
+def feeds_body(page: svc.FeedPage, only_field: int | None,
+               memo: dict[int, str]) -> str:
+    """The feed body of `page`; a full-channel one reads and fills `memo`,
+    the entry texts of the page's channel by entry_id."""
     header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
     times, fields = page.times, page.fields
     names = [str(k) for k in _doc_fields(page.channel, only_field)]
     if only_field is None:
+        if len(memo) > 2 * svc.MAX_RESULTS:
+            # copy() is atomic where iterating would race another thread
+            floor = len(times) - svc.MAX_RESULTS
+            for entry_id in memo.copy():
+                if entry_id <= floor:
+                    memo.pop(entry_id, None)
         # Two threads racing on one entry store equal strings.
-        memo = page.rendered
         feeds = []
         for entry_id in page.ids:
             text = memo.get(entry_id)
@@ -108,7 +122,7 @@ def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
     from the page's rows without rendering it.
 
     Each call builds fresh dicts; the values are the channel's own strings,
-    None where an entry has no value. The `rendered` memo is not touched.
+    None where an entry has no value.
     """
     keys = [(str(k), f"field{k}") for k in _doc_fields(page.channel, only_field)]
     times, fields = page.times, page.fields
@@ -208,9 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
         end = svc.parse_timestamp(params["end"]) if "end" in params else None
         page = self.service.read_feeds(channel_id, results=results, start=start,
                                        end=end, read_key=params.get("api_key"))
-        if only_field is not None and only_field not in page.channel.fields:
-            raise svc.UnknownChannelError(f"channel has no field {only_field}")
-        self._json(200, feeds_body(page, only_field))
+        memo = self.server.memos.setdefault(channel_id, {})  # type: ignore[attr-defined]
+        self._json(200, feeds_body(page, only_field, memo))
 
 
 class ChannelHttpServer:
@@ -220,6 +233,8 @@ class ChannelHttpServer:
                  host: str = "127.0.0.1", port: int = 0):
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.service = channel_service  # type: ignore[attr-defined]
+        # by channel id, the memo the handler gives feeds_body
+        self._httpd.memos = {}  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 

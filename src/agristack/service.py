@@ -17,7 +17,6 @@ import re
 import secrets
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -126,11 +125,12 @@ class Channel:
                 raise ValueError(f"field index {k} outside 1..{MAX_FIELDS}")
 
 
-class FeedEntries(Sequence):
+class _FeedEntries:
     """Entries `ids` of a channel, from its rows (see _ChannelState), each
-    built as a FeedEntry when it is accessed.
+    built as a FeedEntry when it is indexed; `len` builds none.
 
-    Equal to a tuple of the same entries. `len` builds none.
+    Only the benchmark reads it: `bench/common.verify_reopened` indexes and
+    iterates it, and `bench/spans.py` sizes read spans by its `len`.
     """
 
     __slots__ = ("_times", "_fields", "_ids")
@@ -143,20 +143,10 @@ class FeedEntries(Sequence):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FeedEntries(self._times, self._fields, self._ids[index])
+    def __getitem__(self, index: int) -> FeedEntry:
         entry_id = self._ids[index]  # IndexError past either end
         return FeedEntry(entry_id, datetime.fromisoformat(self._times[entry_id - 1]),
                          {int(k): v for k, v in self._fields[entry_id - 1].items()})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (FeedEntries, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FeedEntries({list(self)!r})"
 
 
 class FeedPage(NamedTuple):
@@ -169,11 +159,10 @@ class FeedPage(NamedTuple):
     ids: range
     times: list[str]
     fields: list[dict[str, str]]
-    rendered: dict[int, str]    # the channel's memo; see _ChannelState
 
     @property
-    def entries(self) -> FeedEntries:
-        return FeedEntries(self.times, self.fields, self.ids)
+    def entries(self) -> _FeedEntries:
+        return _FeedEntries(self.times, self.fields, self.ids)
 
 
 @dataclass
@@ -184,9 +173,6 @@ class _ChannelState:
     meta: Channel
     times: list[str] = field(default_factory=list)
     fields: list[dict[str, str]] = field(default_factory=list)
-    # each entry's JSON for a full-channel feed body, by entry_id: filled by
-    # httpd.feeds_body on the entry's first read, outside the lock
-    rendered: dict[int, str] = field(default_factory=dict)
     log: RecordLog | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_accept: datetime | None = None
@@ -321,14 +307,7 @@ class ChannelService:
                 lo = (bisect_right if start.microsecond else bisect_left)(times, lo_text)
             hi = len(times) if hi_text is None else bisect_right(times, hi_text)
             lo = max(lo, hi - n)
-            if len(state.rendered) > 2 * MAX_RESULTS:
-                # keep the newest MAX_RESULTS, the window polls repeat; copy()
-                # is atomic where iterating would race a reader's insert
-                floor = len(times) - MAX_RESULTS
-                state.rendered = {k: v for k, v in state.rendered.copy().items()
-                                  if k > floor}
-            rendered = state.rendered
-        return FeedPage(state.meta, range(lo + 1, hi + 1), times, state.fields, rendered)
+        return FeedPage(state.meta, range(lo + 1, hi + 1), times, state.fields)
 
     # -- persistence --------------------------------------------------------
 

@@ -21,9 +21,9 @@ from agristack.analytics import (HIGH_TEMP_MESSAGE, AlertRule, DutyCycleConfig,
 from agristack.cli import main as cli_main
 from agristack.client import LocalServiceClient
 from agristack.envsim import ScenarioSpec, parse_scenario, simulate
-from agristack.httpd import ChannelHttpServer
+from agristack.httpd import ChannelHttpServer, feed_doc
 from agristack.pipeline import run_pipeline
-from agristack.service import ChannelService
+from agristack.service import ChannelService, parse_timestamp
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 from tests.test_analytics import series_of
 from tests.test_httpd import GOLDEN_FEEDS_BODY, write_golden_entries
@@ -259,8 +259,8 @@ def test_criterion_8_service_contract(tmp_path):
         assert service.update(WRITE_KEY, {1: f"{i}.0"}) == i + 1
     # no close(): simulate a crash right after the last acknowledgment
     revived = ChannelService(data_dir=data_dir, fsync=True)
-    entries = revived.read_feeds(1, results=8000).entries
-    durable_ok = ([e.entry_id for e in entries] == list(range(1, 26))
+    entries = feed_doc(revived.read_feeds(1, results=8000))["feeds"]
+    durable_ok = ([e["entry_id"] for e in entries] == list(range(1, 26))
                   and revived.update(WRITE_KEY, {1: "25.0"}) == 26)
     revived.close()
     service.close()
@@ -332,12 +332,12 @@ def test_criterion_9_end_to_end_order_preservation():
     spec = parse_scenario(FLAT_FAIR_WEATHER)
     report = run_pipeline(spec, client)
 
-    entries = service.read_feeds(1, results=8000).entries
-    stamps = [e.created_at for e in entries]
+    entries = feed_doc(service.read_feeds(1, results=8000))["feeds"]
+    stamps = [parse_timestamp(e["created_at"]) for e in entries]
     ok = (report.acknowledged == 60
           and report.drops == 0
           and len(entries) == 60
           and stamps == sorted(stamps)
-          and [e.entry_id for e in entries] == list(range(1, 61)))
+          and [e["entry_id"] for e in entries] == list(range(1, 61)))
     _report(9, "faulty transport: acquisition order kept with zero loss",
             ok, f"{len(entries)} entries, {report.drops} drops")

@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import socket
+import threading
 
 import pytest
 import requests
@@ -19,6 +20,24 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# serve returns only on an error, which each test here expects within this long
+SERVE_DEADLINE_S = 10.0
+
+
+def run_serve(capsys, *args):
+    """run_cli of `serve`, run in a daemon thread so that a serve that does
+    not fail fails the test instead of hanging the suite."""
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(["serve", *args])),
+                              daemon=True)
+    thread.start()
+    thread.join(SERVE_DEADLINE_S)
+    if thread.is_alive():
+        pytest.fail(f"serve {' '.join(args)} still running after {SERVE_DEADLINE_S} s")
+    captured = capsys.readouterr()
+    return codes[0], captured.out, captured.err
 
 
 def seed_entries(server, rows):
@@ -323,8 +342,7 @@ def test_serve_port_in_use_is_network_error(capsys, tmp_path):
         taken.bind(("127.0.0.1", 0))
         taken.listen()
         port = taken.getsockname()[1]
-        code, _, err = run_cli(capsys, "serve", "--port", str(port),
-                               "--data-dir", str(tmp_path))
+        code, _, err = run_serve(capsys, "--port", str(port), "--data-dir", str(tmp_path))
     assert code == 2
     assert err.startswith(f"network error: [Errno {errno.EADDRINUSE}]")
 
@@ -337,7 +355,7 @@ def test_serve_on_a_log_record_that_is_not_an_entry_is_data_error(capsys, tmp_pa
     log = RecordLog(tmp_path / "channel_1.log", fsync=False)
     log.append(b"not json")  # checksummed, so only decoding can refuse it
     log.close()
-    code, _, err = run_cli(capsys, "serve", "--port", "0", "--data-dir", str(tmp_path))
+    code, _, err = run_serve(capsys, "--port", "0", "--data-dir", str(tmp_path))
     assert code == 3
     assert err.startswith("data error: channel 1: entry 2 is not one JSON value")
 
@@ -350,7 +368,7 @@ def test_serve_on_a_log_whose_created_at_goes_back_is_data_error(capsys, tmp_pat
     for entry_id, at in enumerate(["10:00:05", "10:00:01", "10:00:09"], start=1):
         log.append(f'{{"id":{entry_id},"at":"2024-12-15T{at}Z","f":{{"1":"1.0"}}}}'.encode())
     log.close()
-    code, _, err = run_cli(capsys, "serve", "--port", "0", "--data-dir", str(tmp_path))
+    code, _, err = run_serve(capsys, "--port", "0", "--data-dir", str(tmp_path))
     assert code == 3
     assert err.startswith("data error: channel 1: entry 2 created_at 2024-12-15T10:00:01Z"
                           " is before entry 1's 2024-12-15T10:00:05Z")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import errno
 import json
 import socket
+import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -15,10 +16,14 @@ from hypothesis import strategies as st
 import pytest
 
 from agristack import httpd, storelog
+from agristack import service as service_module
 from agristack.client import HttpServiceClient, ServiceUnavailable
-from agristack.service import ChannelService, _encode_entry, format_timestamp
+from agristack.service import (ChannelService, FeedEntry, UnknownChannelError,
+                               _encode_entry, format_timestamp)
 from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
+
+BASE = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
 
 GOLDEN_FEEDS_BODY = (
     '{"channel":{"id":1,"name":"field-station","field1":"Temperature",'
@@ -254,28 +259,29 @@ def test_update_that_cannot_be_stored_is_503_on_an_open_connection(tmp_path, clo
         service.close()
     revived = ChannelService(data_dir=tmp_path, fsync=False)
     try:
-        assert [dict(e.fields) for e in revived.read_feeds(1).entries] == [
-            {1: "1.0"}, {1: "3.0"}]
+        page = revived.read_feeds(1)
+        assert [page.fields[i - 1] for i in page.ids] == [{"1": "1.0"}, {"1": "3.0"}]
     finally:
         revived.close()
 
 
 # -- feeds_body against the dict-and-json.dumps rendering it replaced ---------
 
-def reference_feeds_body(page, only_field=None) -> str:
+def reference_feeds_body(channel, entries, only_field=None) -> str:
+    """The feed body of `entries` (FeedEntry values) of `channel`."""
     def wanted(k):
         return only_field is None or k == only_field
 
-    channel = {"id": page.channel.id, "name": page.channel.name}
-    channel.update({f"field{k}": page.channel.fields[k]
-                    for k in sorted(page.channel.fields) if wanted(k)})
+    head = {"id": channel.id, "name": channel.name}
+    head.update({f"field{k}": channel.fields[k]
+                 for k in sorted(channel.fields) if wanted(k)})
     feeds = []
-    for e in page.entries:
+    for e in entries:
         doc = {"created_at": format_timestamp(e.created_at), "entry_id": e.entry_id}
         doc.update({f"field{k}": e.fields.get(k)
-                    for k in sorted(page.channel.fields) if wanted(k)})
+                    for k in sorted(channel.fields) if wanted(k)})
         feeds.append(doc)
-    return json.dumps({"channel": channel, "feeds": feeds}, separators=(",", ":"))
+    return json.dumps({"channel": head, "feeds": feeds}, separators=(",", ":"))
 
 
 def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
@@ -290,12 +296,14 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
                              {"1": "1\n", "2": "\u0663", "3": "2.5"}))
     log.close()
 
+    entries = [FeedEntry(1, at, {1: "1\n", 2: "\u0663", 3: "2.5"})]
     revived = ChannelService(data_dir=tmp_path, fsync=False)
     try:
+        memo: dict[int, str] = {}
         for only_field in (None, None, 1, 2):  # the second full read is memoized
             page = revived.read_feeds(1)
-            body = httpd.feeds_body(page, only_field)
-            assert body == reference_feeds_body(page, only_field)
+            body = httpd.feeds_body(page, only_field, memo)
+            assert body == reference_feeds_body(page.channel, entries, only_field)
             assert httpd.feed_doc(page, only_field) == json.loads(body)
             assert json.loads(body)["feeds"][0].get("field1", "1\n") == "1\n"
     finally:
@@ -317,19 +325,29 @@ decimals = st.one_of(st.integers().map(str),
 def test_feeds_body_matches_reference_rendering(declared, rows, results):
     # rows may leave declared fields out and carry undeclared ones
     service = ChannelService()
-    service.create_channel("st\u00e5tion \"n\"", {k: f"L{k}" for k in declared},
-                           write_key=WRITE_KEY, rate_limit_s=0.0)
+    channel = service.create_channel("st\u00e5tion \"n\"",
+                                     {k: f"L{k}" for k in declared},
+                                     write_key=WRITE_KEY, rate_limit_s=0.0)
     at = datetime(2024, 12, 15, tzinfo=timezone.utc)
+    written = []
     for step, values in rows:
         at += timedelta(seconds=step)
-        service.update(WRITE_KEY, values, created_at=at)
-    undeclared = sorted(set(range(1, 9)) - declared)[:1]
-    for only_field in [None, *sorted(declared), *undeclared]:
+        entry_id = service.update(WRITE_KEY, values, created_at=at)
+        written.append(FeedEntry(entry_id, at, values))
+    want = written[max(0, len(written) - results):]
+    memo: dict[int, str] = {}
+    for only_field in [None, *sorted(declared)]:
         for _ in range(2):  # the second full read comes from the memo
             page = service.read_feeds(1, results=results)
-            body = httpd.feeds_body(page, only_field)
-            assert body == reference_feeds_body(page, only_field)
+            body = httpd.feeds_body(page, only_field, memo)
+            assert body == reference_feeds_body(channel, want, only_field)
             assert httpd.feed_doc(page, only_field) == json.loads(body)
+    for undeclared in sorted(set(range(1, 9)) - declared)[:1]:
+        page = service.read_feeds(1, results=results)
+        with pytest.raises(UnknownChannelError, match=f"channel has no field {undeclared}"):
+            httpd.feeds_body(page, undeclared, memo)
+        with pytest.raises(UnknownChannelError, match=f"channel has no field {undeclared}"):
+            httpd.feed_doc(page, undeclared)
 
 
 def test_feed_doc_is_built_afresh_for_each_read(memory_service):
@@ -341,4 +359,113 @@ def test_feed_doc_is_built_afresh_for_each_read(memory_service):
     first["feeds"].append({})
     page = memory_service.read_feeds(1)
     assert httpd.feed_doc(page) == want
-    assert json.loads(httpd.feeds_body(page)) == want
+    assert json.loads(httpd.feeds_body(page, None, {})) == want
+
+
+# -- the per-channel memo of entry texts --------------------------------------
+
+def memos_given(monkeypatch) -> list[dict[int, str]]:
+    """The memo each feeds_body call of the handler is given, in call order."""
+    given = []
+    feeds_body = httpd.feeds_body
+
+    def spy(page, only_field, memo):
+        given.append(memo)
+        return feeds_body(page, only_field, memo)
+
+    monkeypatch.setattr(httpd, "feeds_body", spy)
+    return given
+
+
+def poll(server, channel_id=1, **params):
+    """The body of a GET of channel `channel_id`'s feeds.json."""
+    r = requests.get(f"{server.endpoint}/channels/{channel_id}/feeds.json",
+                     params=params, timeout=5)
+    assert r.status_code == 200
+    return r.text
+
+
+def test_each_entry_is_rendered_once_across_polls(memory_service, http_server,
+                                                  monkeypatch):
+    for i in range(50):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
+    rendered = []
+    render_entry = httpd.render_entry
+
+    def counting_render(entry_id, created_at, fields, names):
+        rendered.append(entry_id)
+        return render_entry(entry_id, created_at, fields, names)
+
+    monkeypatch.setattr(httpd, "render_entry", counting_render)
+    given = memos_given(monkeypatch)
+    first = poll(http_server, results=40)
+    second = poll(http_server, results=40)
+    assert first == second
+    assert rendered == list(range(11, 51))
+    assert given[0] is given[1]
+    assert sorted(given[0]) == list(range(11, 51))
+
+
+def test_rendered_memo_keeps_the_newest_window_and_stays_bounded(memory_service,
+                                                                http_server,
+                                                                monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 10)
+    at = lambda s: BASE + timedelta(seconds=s)  # noqa: E731
+    for i in range(1, 101):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5"}, created_at=at(i))
+    given = memos_given(monkeypatch)
+    poll(http_server)  # the newest ten, 91..100
+    for i in range(10, 86, 5):  # older windows, enough to force sweeps
+        poll(http_server, end=format_timestamp(at(i)))
+        assert len(given[-1]) <= 3 * 10  # 2 x MAX_RESULTS, then one window
+    assert all(memo is given[0] for memo in given)
+    assert set(range(91, 101)) <= set(given[0])
+
+
+def test_sweeps_racing_polls_leave_each_body_whole(memory_service, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 10)
+    at = lambda s: BASE + timedelta(seconds=s)  # noqa: E731
+    for i in range(1, 201):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5"}, created_at=at(i))
+    memo: dict[int, str] = {}
+    problems: list[str] = []
+
+    def poller(offset):
+        for i in range(offset, 200, 7):
+            page = memory_service.read_feeds(1, end=at(i))
+            try:
+                if json.loads(httpd.feeds_body(page, None, memo)) != httpd.feed_doc(page):
+                    problems.append(f"body of the poll up to {i} differs")
+            except Exception as exc:  # a thread's error would not fail the test
+                problems.append(repr(exc))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=poller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+    assert len(memo) <= 3 * 10 + 4 * 10  # a sweep each, then a window each
+
+
+def test_channels_behind_one_server_keep_their_own_memos(memory_service, http_server):
+    other = memory_service.create_channel("other-station", ["Humidity", "Wind"],
+                                          write_key="OTHERWRITEKEY001", rate_limit_s=0.0)
+    station = memory_service.channel(1)
+    entries = {station.id: [], other.id: []}
+    for i in range(1, 6):
+        created_at = BASE + timedelta(seconds=i)
+        for channel, key, values in ((station, WRITE_KEY, {1: f"{i}.5", 3: "30"}),
+                                     (other, other.write_key, {1: f"-{i}", 2: "7"})):
+            entry_id = memory_service.update(key, values, created_at=created_at)
+            entries[channel.id].append(FeedEntry(entry_id, created_at, values))
+    for _ in range(2):  # the second poll of each channel comes from its memo
+        for channel in (station, other):
+            assert poll(http_server, channel.id) == reference_feeds_body(
+                channel, entries[channel.id])

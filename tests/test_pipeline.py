@@ -13,7 +13,8 @@ from agristack.client import LocalServiceClient, ServiceUnavailable
 from agristack.envsim import ScenarioSpec, parse_scenario, simulate
 from agristack.gateway import DEFAULT_EPOCH, EdgeGateway, EmptyReadingError, Publisher
 from agristack.pipeline import RunReport, run_pipeline
-from agristack.service import ChannelService
+from agristack.httpd import feed_doc
+from agristack.service import ChannelService, parse_timestamp
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 
 FLAT_FAIR_WEATHER = """
@@ -77,8 +78,8 @@ def test_pipeline_publishes_every_cycle():
     assert report.acknowledged == 60
     assert report.queued == 0
     assert report.drops == 0
-    entries = service.read_feeds(1, results=8000).entries
-    assert [e.entry_id for e in entries] == list(range(1, 61))
+    entries = feed_doc(service.read_feeds(1, results=8000))["feeds"]
+    assert [e["entry_id"] for e in entries] == list(range(1, 61))
 
 
 def test_numeric_speed_paces_each_tick_with_time_sleep(monkeypatch):
@@ -103,11 +104,11 @@ def test_fault_injection_preserves_acquisition_order():
     spec = parse_scenario(FLAT_FAIR_WEATHER)
     report = run_pipeline(spec, flaky)
     assert report.acknowledged == 60
-    entries = service.read_feeds(1, results=8000).entries
+    entries = feed_doc(service.read_feeds(1, results=8000))["feeds"]
     assert len(entries) == 60
-    stamps = [e.created_at for e in entries]
+    stamps = [parse_timestamp(e["created_at"]) for e in entries]
     assert stamps == sorted(stamps)
-    assert [e.entry_id for e in entries] == list(range(1, 61))
+    assert [e["entry_id"] for e in entries] == list(range(1, 61))
 
 
 def test_duty_cycle_saves_energy_on_fair_weather():
@@ -155,16 +156,16 @@ def test_published_values_track_ground_truth_within_one_lsb():
     spec = load_bundled_scenario("paper_hour")
     run_pipeline(spec, client)
 
-    entries = service.read_feeds(1, results=8000).entries
+    entries = feed_doc(service.read_feeds(1, results=8000))["feeds"]
     assert len(entries) == spec.sample_count
     tolerances = {1: ("temperature", 0.0806), 2: ("pressure", 0.0245),
                   3: ("moisture", 0.0245)}
     for i, entry in enumerate(entries):
         truth = sample_at(spec, i * spec.tick_s)
         for index, (name, tol) in tolerances.items():
-            published = float(entry.fields[index])
+            published = float(entry[f"field{index}"])
             assert abs(published - getattr(truth, name)) <= tol, (i, name)
-        assert entry.fields[4] == str(truth.rain)
+        assert entry["field4"] == str(truth.rain)
 
 
 def full_history_run_pipeline(spec, client) -> RunReport:
@@ -224,8 +225,8 @@ def test_duty_cycle_matches_the_full_history_reference():
     # the rain sensor was both scheduled off and kept on
     assert 0 < report.on_time_s["rain"] < spec.duration_s
     assert report == expected
-    assert (service.read_feeds(1, results=8000).entries
-            == ref_service.read_feeds(1, results=8000).entries)
+    assert (feed_doc(service.read_feeds(1, results=8000))["feeds"]
+            == feed_doc(ref_service.read_feeds(1, results=8000))["feeds"])
 
 
 def test_duty_cycle_forecast_inputs_are_bounded_per_plan(monkeypatch):

@@ -10,18 +10,17 @@ import threading
 import time
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agristack import httpd, storelog
+from agristack import storelog
 from agristack import service as service_module
-from agristack.httpd import feeds_body
+from agristack.httpd import feed_doc, feeds_body
 from agristack.service import (MAX_FIELDS, MAX_RESULTS, AuthError, BadRequestError,
-                               Channel, ChannelService, CorruptStateError, FeedEntries,
+                               Channel, ChannelService, CorruptStateError,
                                FeedEntry, UnknownChannelError, _check_order,
                                _decode_entries, _encode_entry, format_timestamp,
                                parse_timestamp)
@@ -32,6 +31,22 @@ from tests.test_httpd import reference_feeds_body
 T = lambda s: parse_timestamp(s)  # noqa: E731
 
 
+def feeds(page) -> list[dict]:
+    """The entries of `page` as a feed body lists them."""
+    return feed_doc(page)["feeds"]
+
+
+def rows(page) -> list[tuple[int, str, dict[str, str]]]:
+    """Each entry of `page`: its id, created_at text and "f" object."""
+    return [(i, page.times[i - 1], page.fields[i - 1]) for i in page.ids]
+
+
+def rows_of(entries) -> list[tuple[int, str, dict[str, str]]]:
+    """`rows` of FeedEntry values."""
+    return [(e.entry_id, format_timestamp(e.created_at),
+             {str(k): v for k, v in e.fields.items()}) for e in entries]
+
+
 def test_first_write_gets_entry_id_one(memory_service):
     assert memory_service.update(WRITE_KEY, {1: "22.04"}) == 1
     assert memory_service.update(WRITE_KEY, {1: "22.10"}) == 2
@@ -40,7 +55,7 @@ def test_first_write_gets_entry_id_one(memory_service):
 def test_wrong_key_rejected_and_nothing_persisted(memory_service):
     with pytest.raises(AuthError):
         memory_service.update("WRONGKEY00000000", {1: "22.04"})
-    assert memory_service.read_feeds(1).entries == ()
+    assert rows(memory_service.read_feeds(1)) == []
 
 
 def test_rate_limit_returns_zero(clock):
@@ -59,8 +74,7 @@ def test_rate_limited_write_not_persisted(clock):
     service.update(WRITE_KEY, {1: "1.0"})
     clock.advance(1.0)
     service.update(WRITE_KEY, {1: "2.0"})
-    entries = service.read_feeds(1).entries
-    assert [e.fields[1] for e in entries] == ["1.0"]
+    assert [d["field1"] for d in feeds(service.read_feeds(1))] == ["1.0"]
 
 
 def test_accepted_writes_spaced_at_least_interval(clock):
@@ -90,14 +104,14 @@ def test_malformed_field_values_rejected(memory_service):
 
 def test_field_values_stored_verbatim(memory_service):
     memory_service.update(WRITE_KEY, {1: "22.04", 3: "030.50", 4: "1"})
-    entry = memory_service.read_feeds(1).entries[0]
-    assert entry.fields == {1: "22.04", 3: "030.50", 4: "1"}
+    [(_, _, fields)] = rows(memory_service.read_feeds(1))
+    assert fields == {"1": "22.04", "3": "030.50", "4": "1"}
 
 
 def test_created_at_defaults_to_service_clock(memory_service, clock):
     memory_service.update(WRITE_KEY, {1: "1.0"})
-    entry = memory_service.read_feeds(1).entries[0]
-    assert entry.created_at == clock.now
+    [entry] = feeds(memory_service.read_feeds(1))
+    assert parse_timestamp(entry["created_at"]) == clock.now
 
 
 def test_out_of_order_created_at_rejected(memory_service):
@@ -111,13 +125,13 @@ def test_read_feeds_last_n_ascending(memory_service):
         memory_service.update(WRITE_KEY, {1: f"{i}.0"},
                               created_at=T(f"2024-12-15T10:00:0{i}Z"))
     page = memory_service.read_feeds(1, results=3)
-    assert [e.entry_id for e in page.entries] == [3, 4, 5]
+    assert [d["entry_id"] for d in feeds(page)] == [3, 4, 5]
 
 
 def test_read_feeds_results_zero(memory_service):
     memory_service.update(WRITE_KEY, {1: "1.0"})
     page = memory_service.read_feeds(1, results=0)
-    assert page.entries == ()
+    assert rows(page) == []
     assert page.channel.name == "field-station"
 
 
@@ -127,10 +141,10 @@ def test_read_feeds_window(memory_service):
                               created_at=T(f"2024-12-15T10:00:0{i}Z"))
     page = memory_service.read_feeds(1, start=T("2024-12-15T10:00:01Z"),
                                      end=T("2024-12-15T10:00:03Z"))
-    assert [e.entry_id for e in page.entries] == [2, 3, 4]
+    assert [d["entry_id"] for d in feeds(page)] == [2, 3, 4]
     empty = memory_service.read_feeds(1, start=T("2024-12-15T11:00:00Z"),
                                       end=T("2024-12-15T12:00:00Z"))
-    assert empty.entries == ()
+    assert rows(empty) == []
 
 
 def test_window_bounds_with_a_fraction_of_a_second(memory_service):
@@ -142,7 +156,7 @@ def test_window_bounds_with_a_fraction_of_a_second(memory_service):
     half = timedelta(milliseconds=500)
     page = memory_service.read_feeds(1, start=T("2024-12-15T10:00:01Z") + half,
                                      end=T("2024-12-15T10:00:03Z") + half)
-    assert [e.entry_id for e in page.entries] == [3, 4]
+    assert [d["entry_id"] for d in feeds(page)] == [3, 4]
 
 
 def test_unknown_channel(memory_service):
@@ -158,14 +172,14 @@ def test_private_channel_requires_read_key(clock):
     with pytest.raises(AuthError):
         service.read_feeds(1)
     page = service.read_feeds(1, read_key="READKEY123456789")
-    assert len(page.entries) == 1
+    assert len(feeds(page)) == 1
 
 
 def test_read_your_writes(memory_service):
     entry_id = memory_service.update(WRITE_KEY, {2: "1013.05"})
     page = memory_service.read_feeds(1)
-    assert page.entries[-1].entry_id == entry_id
-    assert page.entries[-1].fields[2] == "1013.05"
+    assert feeds(page)[-1]["entry_id"] == entry_id
+    assert feeds(page)[-1]["field2"] == "1013.05"
 
 
 def test_channel_validation():
@@ -197,8 +211,8 @@ def test_recovery_restores_entries_and_next_id(tmp_path, clock):
 
     revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
     page = revived.read_feeds(1)
-    assert [e.entry_id for e in page.entries] == list(range(1, 11))
-    assert [e.fields[1] for e in page.entries] == [f"{i}.5" for i in range(10)]
+    assert [d["entry_id"] for d in feeds(page)] == list(range(1, 11))
+    assert [d["field1"] for d in feeds(page)] == [f"{i}.5" for i in range(10)]
     assert revived.update(WRITE_KEY, {1: "10.5"}) == 11
     revived.close()
 
@@ -216,7 +230,7 @@ def test_recovery_discards_torn_final_record(tmp_path, clock):
 
     revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
     page = revived.read_feeds(1)
-    assert [e.entry_id for e in page.entries] == list(range(1, 10))
+    assert [d["entry_id"] for d in feeds(page)] == list(range(1, 10))
     assert revived.update(WRITE_KEY, {1: "9.5"}) == 10  # continues without gaps
     revived.close()
 
@@ -345,7 +359,7 @@ def test_a_failed_append_stores_nothing_and_the_channel_goes_on(tmp_path, monkey
         assert len(failed) == 1, (n, how)
         revived = ChannelService(data_dir=data_dir, fsync=False)
         try:
-            stored = [(e.entry_id, e.fields[1]) for e in revived.read_feeds(1).entries]
+            stored = [(d["entry_id"], d["field1"]) for d in feeds(revived.read_feeds(1))]
         finally:
             revived.close()
         assert stored == acked, (n, how)
@@ -481,7 +495,8 @@ def test_a_naive_time_is_taken_as_utc_by_writes_reads_and_clients(memory_service
     finally:
         monkeypatch.undo()
         time.tzset()
-    assert [e.created_at for e in page.entries] == [naive.replace(tzinfo=timezone.utc)]
+    assert ([parse_timestamp(d["created_at"]) for d in feeds(page)]
+            == [naive.replace(tzinfo=timezone.utc)])
 
 
 def test_timestamp_roundtrip():
@@ -518,8 +533,8 @@ def test_pre_1000_created_at_survives_a_restart(tmp_path, clock):
         page = revived.read_feeds(1)
     finally:
         revived.close()
-    assert [e.created_at for e in page.entries] == [at]
-    assert '"created_at":"0999-01-01T00:00:00Z"' in feeds_body(page)
+    assert [parse_timestamp(d["created_at"]) for d in feeds(page)] == [at]
+    assert '"created_at":"0999-01-01T00:00:00Z"' in feeds_body(page, None, {})
 
 
 def test_field_values_must_be_ascii_decimals_in_full(memory_service):
@@ -527,10 +542,10 @@ def test_field_values_must_be_ascii_decimals_in_full(memory_service):
     for bad in ("1\n", "1 ", "\u0663", "1\u0663"):
         with pytest.raises(BadRequestError):
             memory_service.update(WRITE_KEY, {1: bad})
-    assert memory_service.read_feeds(1).entries == ()
+    assert rows(memory_service.read_feeds(1)) == []
 
 
-# -- windowed reads and the rendered-entry memo -------------------------------
+# -- windowed reads -------------------------------------------------------------
 
 BASE = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -559,7 +574,7 @@ def test_read_feeds_matches_brute_force_filter(offsets, results, start, end):
             if (start is None or ts >= at(start)) and (end is None or ts <= at(end))]
     n = MAX_RESULTS if results is None else results
     want = want[max(0, len(want) - n):]
-    assert [(e.entry_id, e.created_at) for e in page.entries] == want
+    assert [(d["entry_id"], parse_timestamp(d["created_at"])) for d in feeds(page)] == want
 
 
 DECLARED = {1: "T", 2: "P", 4: "R"}
@@ -590,6 +605,7 @@ def test_compact_state_serves_what_a_list_of_feed_entries_would(ops, base):
                                               else results)):])
 
     reads = []
+    memo: dict[int, str] = {}
     with tempfile.TemporaryDirectory() as data_dir:
         service = ChannelService(data_dir=data_dir, fsync=False)
         try:
@@ -613,14 +629,12 @@ def test_compact_state_serves_what_a_list_of_feed_entries_would(ops, base):
                 want = window(**kwargs)
                 page = service.read_feeds(1, **kwargs)
                 with patch.object(service_module, "FeedEntry", wraps=FeedEntry) as built:
-                    assert len(page.entries) == len(want)
-                    full = feeds_body(page)
-                    one = feeds_body(page, only_field)
+                    full = feeds_body(page, None, memo)
+                    one = feeds_body(page, only_field, memo)
                 assert built.call_count == 0
-                assert page.entries == want
-                model = SimpleNamespace(channel=channel, entries=want)
-                assert full == reference_feeds_body(model)
-                assert one == reference_feeds_body(model, only_field)
+                assert rows(page) == rows_of(want)
+                assert full == reference_feeds_body(channel, want)
+                assert one == reference_feeds_body(channel, want, only_field)
                 reads.append((kwargs, only_field))
         finally:
             service.close()
@@ -628,41 +642,27 @@ def test_compact_state_serves_what_a_list_of_feed_entries_would(ops, base):
         revived.close()
     for kwargs, only_field in reads:
         page, again = service.read_feeds(1, **kwargs), revived.read_feeds(1, **kwargs)
-        assert again.entries == page.entries == window(**kwargs)
-        assert feeds_body(again) == feeds_body(page)
-        assert feeds_body(again, only_field) == feeds_body(page, only_field)
+        assert rows(again) == rows(page) == rows_of(window(**kwargs))
+        assert feeds_body(again, None, {}) == feeds_body(page, None, memo)
+        assert (feeds_body(again, only_field, {})
+                == feeds_body(page, only_field, memo))
 
 
-def test_each_entry_is_rendered_once_across_polls(memory_service, monkeypatch):
-    for i in range(50):
-        memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
-    rendered = []
-
-    render_entry = httpd.render_entry
-
-    def counting_render(entry_id, created_at, fields, names):
-        rendered.append(entry_id)
-        return render_entry(entry_id, created_at, fields, names)
-
-    monkeypatch.setattr(httpd, "render_entry", counting_render)
-    first = feeds_body(memory_service.read_feeds(1, results=40))
-    second = feeds_body(memory_service.read_feeds(1, results=40))
-    assert first == second
-    assert rendered == list(range(11, 51))
-
-
-def test_rendered_memo_keeps_the_newest_window_and_stays_bounded(memory_service,
-                                                                monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_RESULTS", 10)
+def test_entries_view_builds_an_entry_only_when_it_is_indexed(memory_service):
+    # the benchmark sizes read spans by len(page.entries), and checks a
+    # reopened channel through page.entries[-1] and by iterating the view
     at = lambda s: BASE + timedelta(seconds=s)  # noqa: E731
-    for i in range(1, 101):
-        memory_service.update(WRITE_KEY, {1: f"{i}.5"}, created_at=at(i))
-    feeds_body(memory_service.read_feeds(1))  # the newest ten, 91..100
-    for i in range(10, 86, 5):  # older windows, enough to force sweeps
-        page = memory_service.read_feeds(1, end=at(i))
-        feeds_body(page)
-        assert len(page.rendered) <= 3 * 10  # 2 x MAX_RESULTS, then one window
-    assert set(range(91, 101)) <= set(page.rendered)
+    for i in range(3):
+        memory_service.update(WRITE_KEY, {1: f"{i}.5", 3: "1"}, created_at=at(i))
+    page = memory_service.read_feeds(1, results=2)
+    with patch.object(service_module, "FeedEntry", wraps=FeedEntry) as built:
+        assert len(page.entries) == 2
+    assert built.call_count == 0
+    want = [FeedEntry(i + 1, at(i), {1: f"{i}.5", 3: "1"}) for i in (1, 2)]
+    assert page.entries[-1] == want[-1]
+    assert list(page.entries) == want
+    with pytest.raises(IndexError):
+        page.entries[2]
 
 
 def test_concurrent_reads_and_writes_see_consistent_pages(clock):
@@ -674,15 +674,15 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
         for i in range(300):
             service.update(WRITE_KEY, {1: f"{i}.0", 3: "1"})
 
+    memo: dict[int, str] = {}
+
     def reader():
         for _ in range(150):
             page = service.read_feeds(1, results=50)
-            ids = [e.entry_id for e in page.entries]
+            ids = [d["entry_id"] for d in feeds(page)]
             if ids and ids != list(range(ids[0], ids[-1] + 1)):
                 problems.append(f"ids not contiguous: {ids}")
-            body = json.loads(feeds_body(page))["feeds"]
-            if [(d["entry_id"], d["field1"]) for d in body] != [
-                    (e.entry_id, e.fields[1]) for e in page.entries]:
+            if json.loads(feeds_body(page, None, memo)) != feed_doc(page):
                 problems.append("body differs from its entries")
 
     previous = sys.getswitchinterval()
@@ -697,7 +697,7 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
     assert problems == []
-    assert service.read_feeds(1, results=1).entries[0].entry_id == 600
+    assert [d["entry_id"] for d in feeds(service.read_feeds(1, results=1))] == [600]
 
 
 # -- the log entry codec ------------------------------------------------------
@@ -759,8 +759,9 @@ def test_encode_entry_matches_the_json_dumps_reference(entry):
 @given(rows=st.lists(entries_with(st.integers(1, MAX_FIELDS)), min_size=1, max_size=4))
 def test_decode_entries_matches_the_per_record_reference(n, rows):
     records = [record(replace(rows[i % len(rows)], entry_id=i + 1)) for i in range(n)]
-    decoded = FeedEntries(*_decode_entries(records), range(1, n + 1))
-    assert decoded == tuple(reference_decode_entry(r) for r in records)
+    times, fields = _decode_entries(records)
+    decoded = [(i, at, f) for i, (at, f) in enumerate(zip(times, fields), start=1)]
+    assert decoded == rows_of(reference_decode_entry(r) for r in records)
 
 
 def test_intact_records_are_parsed_one_chunk_at_a_time(monkeypatch):
