@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 network error, 3 data error.
 
 from __future__ import annotations
 
+import signal
 import sys
 import time
 from itertools import count
@@ -87,6 +88,14 @@ def _parse_speed(speed: str) -> float | str:
 # serve
 
 
+class _Terminated(Exception):
+    """SIGTERM arrived while `serve` was serving."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 @cli.command()
 @click.option("--host", default="127.0.0.1", show_default=True)
 @click.option("--port", default=8266, show_default=True)
@@ -98,7 +107,8 @@ def _parse_speed(speed: str) -> float | str:
 @click.option("--read-key", default=None)
 @click.option("--name", default="field-station", show_default=True)
 def serve(host, port, data_dir, rate_limit, write_key, read_key, name):
-    """Start the channel service and block until interrupted."""
+    """Start the channel service and block until SIGINT or SIGTERM, then
+    close it."""
     service = ChannelService(data_dir=data_dir)
     if not service.channels():
         service.create_channel(name, DEFAULT_FIELD_LABELS, write_key=write_key,
@@ -108,11 +118,14 @@ def serve(host, port, data_dir, rate_limit, write_key, read_key, name):
         click.echo(f"channel {ch.id} '{ch.name}' write_key={ch.write_key} "
                    f"rate_limit={ch.rate_limit_s:g}s")
     click.echo(f"serving {server.endpoint} (data in {data_dir})")
+    # raising in the handler ends serve_forever, so the finally below runs
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, _Terminated):
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
         service.close()
 

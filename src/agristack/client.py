@@ -120,18 +120,23 @@ class HttpServiceClient:
                    start: str | None = None, end: str | None = None) -> dict:
         params = {"results": results, "start": start, "end": end,
                   "api_key": self.read_key}
-        return self._feed(f"/channels/{channel_id}/feeds.json", params, channel_id)
+        return self._feed(f"/channels/{channel_id}/feeds.json", params,
+                          f"channel {channel_id} not found")
 
     def read_field(self, channel_id: int, field_index: int,
                    results: int | None = None) -> dict:
         params = {"results": results, "api_key": self.read_key}
-        return self._feed(f"/channels/{channel_id}/fields/{field_index}.json",
-                          params, channel_id)
+        # the wire's 404 body is the same for an undeclared field
+        return self._feed(f"/channels/{channel_id}/fields/{field_index}.json", params,
+                          f"channel {channel_id} has no field {field_index},"
+                          f" or no such channel")
 
-    def _feed(self, path: str, params: dict, channel_id: int) -> dict:
+    def _feed(self, path: str, params: dict, not_found: str) -> dict:
+        """GET the feed body at `path`; a 404 raises UnknownChannelError
+        saying `not_found`."""
         status, text = self._get(path, params)
         if status == 404:
-            raise UnknownChannelError(f"channel {channel_id} not found")
+            raise UnknownChannelError(not_found)
         if status == 401:
             raise AuthError("read key rejected")
         if status == 400:

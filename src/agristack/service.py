@@ -6,16 +6,25 @@ assigned gapless per-channel entry ids, and persisted durably (append-only
 log per channel) before they are acknowledged. Reads return entries in
 ascending entry order. Field values are kept as the decimal strings the
 writer sent, so reads reproduce them byte for byte.
+
+`close` also writes each channel's rows to a snapshot, channel_N.snap, that
+names the length and crc32 of the log prefix it was built from. A start loads
+a snapshot only if that prefix still matches the log and every row passes
+the checks a replay makes, and then replays only the records after it; in
+any other case it replays the whole log. The log stays the only source of
+truth: deleting a snapshot loses nothing.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import re
 import secrets
 import threading
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -25,6 +34,8 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from .storelog import RecordLog, fsync_directory
+
+logger = logging.getLogger(__name__)
 
 MAX_FIELDS = 8
 MAX_RESULTS = 8000
@@ -176,6 +187,7 @@ class _ChannelState:
     log: RecordLog | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_accept: datetime | None = None
+    snap_end: int = 0   # the log length the channel's snapshot covers
 
 
 def _validate_field_values(values: Mapping[int, str]) -> dict[str, str]:
@@ -319,6 +331,9 @@ class ChannelService:
     def _registry_path(self) -> Path:
         return self.data_dir / "channels.json"
 
+    def _snapshot_path(self, channel_id: int) -> Path:
+        return self.data_dir / f"channel_{channel_id}.snap"
+
     def _save_registry(self) -> None:
         if self.data_dir is None:
             return
@@ -344,19 +359,43 @@ class ChannelService:
             fields = {int(k): v for k, v in item["fields"].items()}
             meta = Channel(**{**item, "fields": fields})
             log = self._open_log(meta.id)
+            start, crc, times, fields = (_load_snapshot(self._snapshot_path(meta.id), log)
+                                         or (0, 0, [], []))
             try:
-                times, fields = _decode_entries(log.replay())
+                tail_times, tail_fields = _decode_entries(log.replay(start, crc),
+                                                          first_id=len(times) + 1)
+                times += tail_times
+                fields += tail_fields
                 _check_order(times)
             except CorruptStateError as exc:
                 raise CorruptStateError(f"channel {meta.id}: {exc}") from None
-            state = _ChannelState(meta=meta, times=times, fields=fields, log=log)
+            state = _ChannelState(meta=meta, times=times, fields=fields, log=log,
+                                  snap_end=start)
             self._channels[meta.id] = state
             self._by_write_key[meta.write_key] = meta.id
 
     def close(self) -> None:
+        """Close every channel's log, then snapshot each one whose log grew
+        since its snapshot. A snapshot that cannot be written is logged and
+        skipped: the log holds every entry, so the next start replays it."""
         for state in self._channels.values():
             if state.log is not None:
                 state.log.close()
+        for state in self._channels.values():
+            if state.log is None:
+                continue
+            with state.lock:
+                covered = state.log.covered()
+                # None for a fenced log, whose file may end in an unacknowledged record
+                if covered is None or covered[0] == state.snap_end:
+                    continue
+                try:
+                    _write_snapshot(self._snapshot_path(state.meta.id), *covered,
+                                    state.times, state.fields, self.fsync)
+                except OSError as exc:
+                    logger.warning("channel %d: snapshot not written: %r", state.meta.id, exc)
+                    continue
+                state.snap_end = covered[0]
 
 
 class CorruptStateError(ServiceError):
@@ -384,12 +423,14 @@ def _encode_entry(entry_id: int, at: str, fields: Mapping[str, str]) -> bytes:
     return f'{{"id":{entry_id},"at":"{at}","f":{{{body}}}}}'.encode()
 
 
-def _decode_entries(records: list[bytes]) -> tuple[list[str], list[dict[str, str]]]:
+def _decode_entries(records: list[bytes], first_id: int = 1
+                    ) -> tuple[list[str], list[dict[str, str]]]:
     """The created_at texts and "f" objects of the entries a channel log's
-    records hold, in order, as _ChannelState keeps them.
+    records hold, in order, as _ChannelState keeps them; the first record
+    holds entry `first_id`.
 
     Raises CorruptStateError at the first record that is not exactly one
-    entry: a JSON object whose "id" is its 1-based position, whose "at" is a
+    entry: a JSON object whose "id" is its position, whose "at" is a
     text parse_timestamp accepts, and whose "f" maps field indices 1 to
     MAX_FIELDS, written as update writes them, to strings. Any other value
     could not be served: feed bodies render each one as a string.
@@ -399,13 +440,12 @@ def _decode_entries(records: list[bytes]) -> tuple[list[str], list[dict[str, str
     """
     times: list[str] = []
     fields: list[dict[str, str]] = []
-    names_seen: set[tuple[str, ...]] = set()
     for first in range(0, len(records), _DECODE_CHUNK):
         chunk = records[first:first + _DECODE_CHUNK]
-        rows = _decode_chunk(chunk, first + 1, names_seen)
+        rows = _decode_chunk(chunk, first_id + first)
         if rows is None:
             rows = zip(*[_decode_record(raw, position)
-                         for position, raw in enumerate(chunk, start=first + 1)])
+                         for position, raw in enumerate(chunk, start=first_id + first)])
         chunk_times, chunk_fields = rows
         times += chunk_times
         fields += chunk_fields
@@ -422,7 +462,81 @@ def _check_order(times: list[str]) -> None:
                                 f" entry {back}'s {times[back - 1]}")
 
 
-def _decode_chunk(chunk: list[bytes], first_id: int, names_seen: set
+_SNAP_MAGIC = b"agristack-snapshot-1"
+
+
+def _write_snapshot(path: Path, length: int, crc: int, times: list[str],
+                    fields: list[dict[str, str]], fsync: bool) -> None:
+    """Write the rows `times` and `fields` to `path` as a snapshot of the log
+    whose first `length` bytes have crc32 `crc`.
+
+    The file is a header line (magic, length, crc, entry count); then, for
+    each _DECODE_CHUNK entries, a line of their created_at texts separated by
+    spaces and a line of their "f" objects as one JSON array; then the crc32
+    of all the lines before it, in hex. It is written under a temporary name
+    and renamed over `path`; with `fsync`, the file and then the rename are
+    made durable.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    header = b"%s %d %d %d\n" % (_SNAP_MAGIC, length, crc, len(times))
+    chunks = (f'{" ".join(times[i:i + _DECODE_CHUNK])}\n'
+              f'{json.dumps(fields[i:i + _DECODE_CHUNK], separators=(",", ":"))}\n'.encode()
+              for i in range(0, len(times), _DECODE_CHUNK))
+    try:
+        with open(tmp, "wb") as fh:
+            body_crc = 0
+            for data in chain([header], chunks):
+                fh.write(data)
+                body_crc = zlib.crc32(data, body_crc)
+            fh.write(b"%08x\n" % body_crc)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if fsync:
+        fsync_directory(path.parent)
+
+
+def _load_snapshot(path: Path, log: RecordLog
+                   ) -> tuple[int, int, list[str], list[dict[str, str]]] | None:
+    """(length, crc, times, fields) from the snapshot at `path` (see
+    _write_snapshot), if the log's first `length` bytes still have crc32
+    `crc`, the file's own crc32 holds, and its rows pass every check a
+    replay makes (_valid_rows, _check_order); else None."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            magic, length, crc, count = header.split()
+            length, crc, count = int(length), int(crc), int(count)
+            if magic != _SNAP_MAGIC or length < 0 or log.prefix_crc(length) != crc:
+                return None
+            body_crc = zlib.crc32(header)
+            times: list[str] = []
+            fields: list[dict[str, str]] = []
+            while len(times) < count:
+                times_line, fields_line = fh.readline(), fh.readline()
+                body_crc = zlib.crc32(fields_line, zlib.crc32(times_line, body_crc))
+                chunk_times = times_line.decode("ascii")[:-1].split(" ")
+                chunk_fields = json.loads(fields_line)
+                if not (0 < len(chunk_times) == len(chunk_fields) <= _DECODE_CHUNK
+                        and _valid_rows(chunk_times, chunk_fields)):
+                    return None
+                times += chunk_times
+                fields += chunk_fields
+            if len(times) != count or fh.read() != b"%08x\n" % body_crc:
+                return None
+            _check_order(times)
+    except FileNotFoundError:
+        return None
+    except (ValueError, TypeError, RecursionError, CorruptStateError):
+        return None     # incl. JSON and UTF-8 errors
+    return length, crc, times, fields
+
+
+def _decode_chunk(chunk: list[bytes], first_id: int
                   ) -> tuple[list[str], list[dict[str, str]]] | None:
     """The rows of entries `first_id`… held by `chunk`, if every record in it
     is one entry, checked as _decode_entries says; else None.
@@ -431,8 +545,8 @@ def _decode_chunk(chunk: list[bytes], first_id: int, names_seen: set
     a newline. Its items are the records only if each of those separators is
     a top-level one: a raw newline cannot stand in a JSON string, no object
     goes on with a separator and a `{`, and a chunk with no `[` of its own
-    holds no nested array. The items are then checked together, each
-    distinct tuple of field names once.
+    holds no nested array. The items are then checked together
+    (_valid_rows).
     """
     joined = b"[" + b",\n".join(chunk) + b"]"
     # the separators are the only newlines, and each is followed by a `{`
@@ -444,22 +558,31 @@ def _decode_chunk(chunk: list[bytes], first_id: int, names_seen: set
         ids = list(map(_ID, docs))  # TypeError for an item that is not an object
         times = list(map(_AT, docs))
         fields = list(map(_F, docs))
-        # TypeError for an "f" that is not an object, or a value not a string
-        "".join(chain.from_iterable(map(dict.values, fields)))
-        text = "\n".join(times) + "\n"  # TypeError for an "at" not a string
-        # the newlines the join put in are the only ones, so each "at" is one
-        # match of the pattern; fromisoformat then checks the ranges
-        if (len(docs) != len(chunk) or ids != list(range(first_id, first_id + len(docs)))
-                or text.count("\n") != len(times) or not _TIMES_RE.fullmatch(text)
-                or not all(map(datetime.fromisoformat, times))):
-            return None
     except (ValueError, LookupError, TypeError):  # incl. JSON and UTF-8 errors
         return None
-    names = set(map(tuple, fields)) - names_seen
-    if not all(_NAME_SET.issuperset(n) for n in names):
+    if (len(docs) != len(chunk) or ids != list(range(first_id, first_id + len(docs)))
+            or not _valid_rows(times, fields)):
         return None
-    names_seen |= names
     return times, fields
+
+
+def _valid_rows(times: list, fields: list) -> bool:
+    """Whether `times` and `fields` are rows an entry could hold, as
+    _decode_entries says: each time a text parse_timestamp accepts, and each
+    "f" an object whose names are field indices and whose values are
+    strings."""
+    try:
+        # TypeError for an "f" that is not an object, or a value not a string
+        "".join(chain.from_iterable(map(dict.values, fields)))
+        text = "\n".join(times) + "\n"  # TypeError for a time not a string
+        # the newlines the join put in are the only ones, so each time is one
+        # match of the pattern; fromisoformat then checks the ranges
+        if (text.count("\n") != len(times) or not _TIMES_RE.fullmatch(text)
+                or not all(map(datetime.fromisoformat, times))):
+            return False
+    except (ValueError, TypeError):
+        return False
+    return _NAME_SET.issuperset(chain.from_iterable(fields))
 
 
 def _decode_record(raw: bytes, position: int) -> tuple[str, dict[str, str]]:

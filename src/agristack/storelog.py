@@ -6,6 +6,8 @@ before the caller acknowledges anything built on them; an append that fails
 is cut back off the file before the error reaches the caller. Replay
 tolerates a torn trailing record, which is discarded and physically truncated
 away; a corrupt record anywhere else aborts recovery with its byte offset.
+Replay can start after a prefix of the file that the caller has checked
+against a crc32 it kept (see `covered`), and read only the records after it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 _HEADER = struct.Struct(">II")
 MAX_RECORD_BYTES = 1 << 20
+_CRC_BLOCK = 1 << 20    # prefix_crc reads this much at a time
 
 
 class CorruptLogError(RuntimeError):
@@ -54,6 +57,7 @@ class RecordLog:
         self.fsync = fsync
         self._fh = None
         self._end = 0           # where the last acknowledged record ends
+        self._crc = 0           # crc32 of the bytes before _end; None if unknown
         self._fenced = False
 
     def _handle(self):
@@ -69,7 +73,9 @@ class RecordLog:
                     self.path.unlink(missing_ok=True)
                     raise
             self._fh = fh
-            self._end = fh.tell()   # append mode opens at the end
+            end = fh.tell()     # append mode opens at the end
+            if end != self._end:    # bytes this object neither read nor wrote
+                self._end, self._crc = end, None
         return self._fh
 
     def append(self, payload: bytes) -> None:
@@ -91,6 +97,8 @@ class RecordLog:
             self._cut_back()
             raise
         self._end += len(record)
+        if self._crc is not None:
+            self._crc = zlib.crc32(record, self._crc)
 
     def _cut_back(self) -> None:
         """Truncate the file to the end of the last acknowledged record."""
@@ -106,8 +114,35 @@ class RecordLog:
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
 
-    def replay(self) -> list[bytes]:
-        """Read all intact records; truncate a torn tail off the file.
+    def covered(self) -> tuple[int, int] | None:
+        """(length, crc32) of the file's first bytes as this object read them
+        in `replay` and wrote them in `append`: the bytes of every record
+        acknowledged so far. None if it cannot vouch for them: after a failed
+        cut-back, or when it appended to bytes it did not replay."""
+        if self._fenced or self._crc is None:
+            return None
+        return self._end, self._crc
+
+    def prefix_crc(self, length: int) -> int | None:
+        """The crc32 of the file's first `length` bytes, read 1 MiB at a time;
+        None if the file is shorter or missing."""
+        crc = 0
+        try:
+            with open(self.path, "rb") as fh:
+                while length > 0:
+                    block = fh.read(min(length, _CRC_BLOCK))
+                    if not block:
+                        return None
+                    crc = zlib.crc32(block, crc)
+                    length -= len(block)
+        except FileNotFoundError:
+            return None
+        return crc
+
+    def replay(self, start: int = 0, crc: int = 0) -> list[bytes]:
+        """Read the intact records after the file's first `start` bytes, a
+        prefix that ends at a record boundary and whose crc32, checked by the
+        caller, is `crc`; truncate a torn tail off the file.
 
         A record whose length runs past the end of the file is a torn tail
         only if no intact record starts after its header; otherwise its
@@ -115,33 +150,39 @@ class RecordLog:
         """
         self.close()
         self._fenced = False
+        self._end, self._crc = 0, 0
         if not self.path.exists():
             return []
-        data = self.path.read_bytes()
+        with open(self.path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read()
         size = len(data)
         records: list[bytes] = []
         offset = 0
         while offset + _HEADER.size <= size:  # else a torn header at the tail
-            length, crc = _HEADER.unpack_from(data, offset)
+            length, record_crc = _HEADER.unpack_from(data, offset)
             if length > MAX_RECORD_BYTES:
-                raise CorruptLogError(self.path, offset, f"record length {length}")
-            start = offset + _HEADER.size
-            end = start + length
+                raise CorruptLogError(self.path, start + offset, f"record length {length}")
+            body = offset + _HEADER.size
+            end = body + length
             if end > size:
-                follower = _next_record(data, start)
+                follower = _next_record(data, body)
                 if follower is not None:
                     raise CorruptLogError(
-                        self.path, offset, f"record length {length} runs past the"
-                        f" end of the file, but a record starts at offset {follower}")
+                        self.path, start + offset, f"record length {length} runs past"
+                        f" the end of the file, but a record starts at offset"
+                        f" {start + follower}")
                 break  # torn payload at tail
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                raise CorruptLogError(self.path, offset, "checksum mismatch")
+            payload = data[body:end]
+            if zlib.crc32(payload) != record_crc:
+                raise CorruptLogError(self.path, start + offset, "checksum mismatch")
             records.append(payload)
             offset = end
         if offset < size:
             with open(self.path, "r+b") as fh:
-                fh.truncate(offset)
+                fh.truncate(start + offset)
+        self._end = start + offset
+        self._crc = zlib.crc32(memoryview(data)[:offset], crc)
         return records
 
 

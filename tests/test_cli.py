@@ -3,14 +3,21 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
 
+import agristack
 from agristack.analytics import evaluate_alerts, default_rules
-from agristack.cli import _entry_to_reading, cli, main, sparkline
+from agristack.cli import DEFAULT_WRITE_KEY, _entry_to_reading, cli, main, sparkline
+from agristack.client import HttpServiceClient
 from agristack.service import ChannelService
 from agristack.storelog import RecordLog
 from tests.conftest import WRITE_KEY
@@ -372,6 +379,45 @@ def test_serve_on_a_log_whose_created_at_goes_back_is_data_error(capsys, tmp_pat
     assert code == 3
     assert err.startswith("data error: channel 1: entry 2 created_at 2024-12-15T10:00:01Z"
                           " is before entry 1's 2024-12-15T10:00:05Z")
+
+
+def test_serve_closes_on_sigterm_and_leaves_a_snapshot_the_next_start_loads(
+        tmp_path, monkeypatch):
+    src = Path(agristack.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "agristack.cli", "serve", "--port", "0", "--rate-limit", "0",
+         "--data-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    watchdog = threading.Timer(SERVE_DEADLINE_S, proc.kill)  # ends a hung read
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        assert lines[1].startswith("serving "), lines
+        client = HttpServiceClient(lines[1].split()[1], write_key=DEFAULT_WRITE_KEY)
+        # a write is served only once serve_forever runs, after the handler is set
+        assert [client.update({1: f"{i}.5"}) for i in range(5)] == [1, 2, 3, 4, 5]
+        client._conn.close()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=SERVE_DEADLINE_S) == 0, proc.stderr.read()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert (tmp_path / "channel_1.snap").exists()
+    replayed = []
+    replay = RecordLog.replay
+    monkeypatch.setattr(RecordLog, "replay",
+                        lambda self, *a: replayed.append(replay(self, *a)) or replayed[-1])
+    service = ChannelService(data_dir=tmp_path, fsync=False)
+    try:
+        page = service.read_feeds(1)
+        assert [page.fields[i - 1]["1"] for i in page.ids] == [f"{i}.5" for i in range(5)]
+        assert replayed == [[]]             # every entry came from the snapshot
+    finally:
+        service.close()
 
 
 def test_usage_error_exit_code(capsys):

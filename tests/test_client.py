@@ -170,6 +170,17 @@ def test_both_clients_return_the_same_docs_for_the_operators_reads(
                 read(client)
 
 
+def test_a_404_from_a_field_read_names_the_field_and_the_channel(http_server):
+    # the wire's 404 body is the same for an undeclared field and channel
+    client = HttpServiceClient(http_server.endpoint)
+    for channel_id, field_index in ((1, 7), (9, 1)):
+        with pytest.raises(UnknownChannelError, match=rf"^channel {channel_id} has no field"
+                           rf" {field_index}, or no such channel$"):
+            client.read_field(channel_id, field_index)
+    with pytest.raises(UnknownChannelError, match=r"^channel 9 not found$"):
+        client.read_feeds(9)
+
+
 def test_runtime_imports_no_requests():
     src = Path(agristack.__file__).resolve().parents[1]
     code = ("import sys, agristack, agristack.cli, agristack.client; "

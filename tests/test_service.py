@@ -260,9 +260,10 @@ def test_recovery_refuses_corrupt_interior_record(tmp_path, clock):
 
 
 class InjectedFaults:
-    """Stands in for storelog's `os` and, by `open_file`, its `open`.
+    """Stands in for the `os` of storelog or service and, by `open_file`,
+    their `open`.
 
-    Numbers each write, flush and fsync the log makes while `armed`, and
+    Numbers each write, flush, fsync and rename made while `armed`, and
     fails number `fail_at` in the way `how` says: "raise" before any byte,
     "partial" after three bytes, or "short", a write that returns after
     three bytes without an error."""
@@ -286,6 +287,11 @@ class InjectedFaults:
         if self._fails("fsync"):
             raise OSError(errno.EIO, "injected fsync failure")
         os.fsync(fd)
+
+    def replace(self, src, dst):
+        if self._fails("rename"):
+            raise OSError(errno.EIO, "injected rename failure")
+        os.replace(src, dst)
 
     def __getattr__(self, name):
         return getattr(os, name)

@@ -4,6 +4,7 @@ import errno
 import os
 import stat
 import struct
+import zlib
 
 import pytest
 
@@ -189,3 +190,57 @@ def test_log_refuses_appends_when_a_failed_append_cannot_be_cut_off(tmp_path, mo
     log.append(b"three")
     log.close()
     assert RecordLog(log.path).replay() == [b"one", b"two", b"three"]
+
+
+# -- replay after a checked prefix ----------------------------------------------
+
+RECORD = 8 + len(b"record-0")       # each record of `ten_records`
+
+
+def ten_records(tmp_path):
+    payloads = [f"record-{i}".encode() for i in range(10)]
+    return make_log(tmp_path, payloads), payloads
+
+
+def test_replay_after_a_checked_prefix_reads_only_the_records_after_it(tmp_path):
+    log, payloads = ten_records(tmp_path)
+    data = log.path.read_bytes()
+    assert log.prefix_crc(4 * RECORD) == zlib.crc32(data[:4 * RECORD])
+    assert log.prefix_crc(len(data)) == zlib.crc32(data)
+    assert log.prefix_crc(len(data) + 1) is None
+    assert RecordLog(tmp_path / "missing.log").prefix_crc(0) is None
+    assert log.replay(4 * RECORD, zlib.crc32(data[:4 * RECORD])) == payloads[4:]
+    assert log.covered() == (len(data), zlib.crc32(data))
+    assert log.replay(len(data), zlib.crc32(data)) == []
+    assert log.covered() == (len(data), zlib.crc32(data))
+
+
+def test_replay_after_a_prefix_refuses_and_truncates_at_file_offsets(tmp_path):
+    log, payloads = ten_records(tmp_path)
+    data = log.path.read_bytes()
+    start, crc = 4 * RECORD, zlib.crc32(data[:4 * RECORD])
+    flipped = bytearray(data)
+    flipped[7 * RECORD + 9] ^= 0xFF
+    log.path.write_bytes(bytes(flipped))
+    with pytest.raises(CorruptLogError) as err:
+        log.replay(start, crc)
+    assert err.value.offset == 7 * RECORD
+    log.path.write_bytes(data[:-3])
+    assert log.replay(start, crc) == payloads[4:9]
+    assert log.path.read_bytes() == data[:9 * RECORD]
+    assert log.covered() == (9 * RECORD, zlib.crc32(data[:9 * RECORD]))
+
+
+def test_covered_vouches_only_for_bytes_the_log_read_or_wrote(tmp_path):
+    log = make_log(tmp_path, [b"one", b"two"])
+    data = log.path.read_bytes()
+    assert log.covered() == (len(data), zlib.crc32(data))
+    other = RecordLog(log.path, fsync=False)
+    other.append(b"three")              # after bytes it did not replay
+    other.close()
+    assert other.covered() is None
+    assert other.replay() == [b"one", b"two", b"three"]
+    other.append(b"four")
+    other.close()
+    data = log.path.read_bytes()
+    assert other.covered() == (len(data), zlib.crc32(data))
