@@ -4,6 +4,9 @@
 ChannelService in-process. Both return the same documents for the same reads,
 the dicts a feed body parses to, and raise the same errors, so anything built
 on the client behaves identically in either mode.
+
+`HttpServiceClient` reads each reply's head with `httpd.read_head`, under the
+same limits as the server, rather than through the email package.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import select
 import weakref
 from base64 import b64encode
 from datetime import datetime
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import (HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection,
+                         UnknownProtocol)
 from typing import Mapping
 from urllib.parse import unquote, urlencode, urlsplit
 from urllib.request import getproxies, proxy_bypass
@@ -58,6 +62,52 @@ def _connection(endpoint: str) -> tuple[HTTPConnection, str, dict[str, str]]:
     return conn, url.path, {}
 
 
+class _Response(HTTPResponse):
+    """An HTTPResponse whose head `httpd.read_head` reads; every 1xx interim
+    reply before it is skipped.
+
+    `headers` and `msg` are that dict, by lowercase name, so `getheader` and
+    `getheaders` are not supported. Everything `read` relies on is set as
+    `HTTPResponse.begin` sets it.
+    """
+
+    def begin(self):
+        if self.headers is not None:
+            return
+        while True:
+            version, status, reason = self._read_status()
+            if not 100 <= status < 200:
+                break
+            httpd.read_head(self.fp)  # an interim reply's head
+        self.code = self.status = status
+        self.reason = reason.strip()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            self.version = 10
+        elif version.startswith("HTTP/1."):
+            self.version = 11
+        else:
+            raise UnknownProtocol(version)
+        self.headers = self.msg = headers = httpd.read_head(self.fp)
+        self.chunked = headers.get("transfer-encoding", "").lower() == "chunked"
+        self.chunk_left = None
+        self.will_close = self._check_close()
+        self.length = None
+        length = headers.get("content-length")
+        if length and not self.chunked:
+            try:
+                self.length = int(length)
+            except ValueError:
+                pass
+            else:
+                if self.length < 0:
+                    self.length = None
+        if status in (204, 304) or self._method == "HEAD":
+            self.length = 0
+        # no length and no chunks: the body ends when the server closes
+        if not self.will_close and not self.chunked and self.length is None:
+            self.will_close = True
+
+
 class HttpServiceClient:
     """A client on one keep-alive connection to `endpoint`, for one thread at
     a time.
@@ -77,6 +127,7 @@ class HttpServiceClient:
             self._conn, self._prefix, self._headers = _connection(self.endpoint)
         except ValueError as exc:  # includes a port that is not a number in range
             raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
+        self._conn.response_class = _Response
         # The socket goes with the client, as a pooled one would with its pool.
         weakref.finalize(self, self._conn.close)
 

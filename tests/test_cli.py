@@ -15,6 +15,7 @@ import pytest
 import requests
 
 import agristack
+from agristack import cli as cli_module, httpd
 from agristack.analytics import evaluate_alerts, default_rules
 from agristack.cli import DEFAULT_WRITE_KEY, _entry_to_reading, cli, main, sparkline
 from agristack.client import HttpServiceClient
@@ -29,7 +30,8 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-# serve returns only on an error, which each test here expects within this long
+# serve returns only on an error or a stop, which each test here expects within
+# this long
 SERVE_DEADLINE_S = 10.0
 
 
@@ -379,6 +381,18 @@ def test_serve_on_a_log_whose_created_at_goes_back_is_data_error(capsys, tmp_pat
     assert code == 3
     assert err.startswith("data error: channel 1: entry 2 created_at 2024-12-15T10:00:01Z"
                           " is before entry 1's 2024-12-15T10:00:05Z")
+
+
+def test_serve_stops_on_a_sigterm_before_its_loop_starts(capsys, tmp_path, monkeypatch):
+    # the handler is set, then the signal lands before the stdlib loop runs
+    def terminated(self, poll_interval=0.5):
+        raise cli_module._Terminated
+
+    monkeypatch.setattr(signal, "signal", lambda signum, handler: signal.SIG_DFL)
+    monkeypatch.setattr(httpd.ThreadingHTTPServer, "serve_forever", terminated)
+    code, out, err = run_serve(capsys, "--port", "0", "--data-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("serving http://127.0.0.1:")
 
 
 def test_serve_closes_on_sigterm_and_leaves_a_snapshot_the_next_start_loads(

@@ -2,6 +2,7 @@
 connection's life, error mapping, and what the runtime imports."""
 from __future__ import annotations
 
+import http.client
 import os
 import socket
 import subprocess
@@ -100,6 +101,59 @@ def test_sent_update_is_not_sent_again(no_proxy_env):
         assert len(heads) == 1
         assert client.update(VALUES) == 7   # the next call connects afresh
     assert len(heads) == 2 and all(h.startswith(b"GET /update?") for h in heads)
+
+
+def test_chunked_reply_is_read_and_keeps_the_connection(no_proxy_env):
+    reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n1\r\n2\r\n23\r\n0\r\n\r\n"
+    with _scripted_server([reply]) as (port, heads):
+        client = HttpServiceClient(f"http://127.0.0.1:{port}", write_key=WRITE_KEY)
+        assert client.update(VALUES) == 123
+        assert client._conn.sock is not None
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 1\r\n\r\n7",
+    b"HTTP/1.0 200 OK\r\nContent-Length: 1\r\n\r\n7",
+    b"HTTP/1.1 200 OK\r\n\r\n7",                   # no length: read to EOF
+], ids=["connection-close", "http-1.0", "no-content-length"])
+def test_reply_that_closes_is_read_and_the_next_call_reconnects(no_proxy_env, reply):
+    with _scripted_server([reply, OK_7]) as (port, heads):
+        client = HttpServiceClient(f"http://127.0.0.1:{port}", write_key=WRITE_KEY)
+        assert client.update(VALUES) == 7
+        assert client._conn.sock is None
+        assert client.update(VALUES) == 7
+    assert len(heads) == 2
+
+
+def test_interim_100_continue_is_skipped(no_proxy_env):
+    with _scripted_server([b"HTTP/1.1 100 Continue\r\nX: y\r\n\r\n" + OK_7]) as (port, _):
+        client = HttpServiceClient(f"http://127.0.0.1:{port}", write_key=WRITE_KEY)
+        assert client.update(VALUES) == 7
+        assert client._conn.sock is not None
+
+
+@pytest.mark.parametrize("head", [
+    b"X: y\r\n" * 101,
+    b"X: " + b"y" * 65536 + b"\r\n",
+], ids=["101-headers", "65537-byte-line"])
+def test_reply_head_over_the_limits_is_unavailable_and_closes(no_proxy_env, head):
+    reply = b"HTTP/1.1 200 OK\r\n" + head + b"Content-Length: 1\r\n\r\n7"
+    with _scripted_server([reply]) as (port, _):
+        client = HttpServiceClient(f"http://127.0.0.1:{port}", write_key=WRITE_KEY)
+        with pytest.raises(ServiceUnavailable):
+            client.update(VALUES)
+        assert client._conn.sock is None
+
+
+def test_neither_end_parses_heads_through_the_email_package(http_server, no_proxy_env):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("http.client.parse_headers called")
+
+    no_proxy_env.setattr(http.client, "parse_headers", refuse)
+    client = HttpServiceClient(http_server.endpoint, write_key=WRITE_KEY)
+    assert client.update(VALUES) == 1
+    assert [e["field2"] for e in client.read_feeds(1)["feeds"]] == ["1013.05"]
+    assert [e["field1"] for e in client.read_field(1, 1)["feeds"]] == ["22.04"]
 
 
 def test_http_proxy_gets_absolute_form_targets_and_credentials(no_proxy_env):

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
+import logging
+import re
 import socket
 import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
+from http.client import HTTPException, LineTooLong
+from http.server import BaseHTTPRequestHandler
 
 import requests
 from hypothesis import example, given, settings
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 import pytest
 
 from agristack import httpd, storelog
+from agristack.httpd import ChannelHttpServer
 from agristack import service as service_module
 from agristack.client import HttpServiceClient, ServiceUnavailable
 from agristack.service import (ChannelService, FeedEntry, UnknownChannelError,
@@ -219,6 +225,17 @@ def test_stop_returns_without_waiting_out_the_stdlib_poll(memory_service):
     elapsed = time.perf_counter() - started
     assert elapsed < 0.25, f"start() then stop() took {elapsed:.2f}s"
     assert not server._thread.is_alive()
+
+
+def test_stop_returns_when_serve_forever_never_ran(memory_service):
+    server = ChannelHttpServer(memory_service)
+    # in a daemon thread, so that a hang fails the test instead of the suite
+    stopping = threading.Thread(target=server.stop, daemon=True)
+    stopping.start()
+    stopping.join(5)
+    assert not stopping.is_alive()
+    with pytest.raises(OSError):  # the socket is closed
+        socket.create_connection((server.host, server.port), timeout=1).close()
 
 
 def test_idle_connection_is_closed(http_server, monkeypatch):
@@ -469,3 +486,212 @@ def test_channels_behind_one_server_keep_their_own_memos(memory_service, http_se
         for channel in (station, other):
             assert poll(http_server, channel.id) == reference_feeds_body(
                 channel, entries[channel.id])
+
+
+# -- the request parser against the stdlib's ---------------------------------
+
+class StdlibHandler(httpd._Handler):
+    """The handler with the stdlib's parse_request, and replies sent through
+    send_response, send_header and end_headers, as before it did either
+    itself."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+    def _reply(self, status, body, content_type):
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+INTERIM = b"HTTP/1.1 100 Continue\r\n\r\n"
+PROBE = b"GET /nope HTTP/1.1\r\n\r\n"
+
+
+def _read_reply(sock) -> tuple[bytes, bool]:
+    """The bytes of one reply, after any `100 Continue`, and whether the
+    peer closed the connection. A reply with no status line ends at EOF."""
+    data = b""
+    while True:
+        head, blank, body = data.removeprefix(INTERIM).partition(b"\r\n\r\n")
+        if blank and data.startswith(b"HTTP/"):
+            length = re.search(rb"\r\nContent-Length: (\d+)", head)
+            if length and len(body) >= int(length[1]):
+                return data, False
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:  # closed with our request unread
+            chunk = b""
+        if not chunk:
+            return data, True
+        data += chunk
+
+
+def exchange(server, raw: bytes, eof: bool = False) -> tuple[bytes, bool]:
+    """Send `raw` on a new connection to `server`, and EOF after it if `eof`:
+    the reply, and whether the connection then serves another request."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        try:
+            sock.sendall(raw)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # refused before it was all read; the reply is still there
+        if eof:
+            sock.shutdown(socket.SHUT_WR)
+        reply, closed = _read_reply(sock)
+        if closed or eof:
+            return reply, False
+        try:
+            sock.sendall(PROBE)
+            probe, _ = _read_reply(sock)
+        except (BrokenPipeError, ConnectionResetError):
+            probe = b""
+        return reply, probe.startswith(b"HTTP/1.1 404 ")
+
+
+def fields_of(reply: bytes) -> tuple[bytes | None, list[bytes], bytes]:
+    """(status line, header lines with the Date value masked, body); a reply
+    with no status line is all body."""
+    if not reply.removeprefix(INTERIM).startswith(b"HTTP/"):
+        return None, [], reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *headers = head.split(b"\r\n")
+    return status, [re.sub(rb"^Date: .*", b"Date: -", h) for h in headers], body
+
+
+FEEDS = b"GET /channels/1/feeds.json"
+LONG = b"x" * 65537
+
+WIRE_CASES = {
+    "keep-alive GET": FEEDS + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    "HTTP/1.0": FEEDS + b" HTTP/1.0\r\n\r\n",
+    "HTTP/1.0 keep-alive": FEEDS + b" HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+    "Connection: close": FEEDS + b" HTTP/1.1\r\nConnection: close\r\n\r\n",
+    "CONNECTION: Close": FEEDS + b" HTTP/1.1\r\nCONNECTION: Close\r\n\r\n",
+    "empty request line": b"\r\n",
+    "one word": b"GET\r\n\r\n",
+    "four words": FEEDS + b" x HTTP/1.1\r\n\r\n",
+    "HTTP/2.0": FEEDS + b" HTTP/2.0\r\n\r\n",
+    "HTTP/1.x": FEEDS + b" HTTP/1.x\r\n\r\n",
+    "99 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 99 + b"\r\n",
+    "100 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n",
+    "101 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n",
+    "65,537-byte header line": FEEDS + b" HTTP/1.1\r\nX: " + LONG[:65532] + b"\r\n\r\n",
+    "65,537-byte request line": b"GET /" + LONG[:65521] + b" HTTP/1.1\r\n\r\n",
+    "header with no colon": FEEDS + b" HTTP/1.1\r\nHost: x\r\nno colon here\r\n\r\n",
+    "leading //": b"GET //channels/1/feeds.json HTTP/1.1\r\n\r\n",
+    "unsupported method": b"POST /update HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    "unknown endpoint": b"GET /nope HTTP/1.1\r\n\r\n",
+    "bad write key": b"GET /update?api_key=NOPE&field1=1 HTTP/1.1\r\n\r\n",
+}
+
+
+@pytest.fixture
+def wire_servers(memory_service, http_server):
+    """(the server, one on the same service with StdlibHandler)"""
+    write_golden_entries(http_server)
+    reference = ChannelHttpServer(memory_service)
+    reference._httpd.RequestHandlerClass = StdlibHandler
+    reference.start()
+    yield http_server, reference
+    reference.stop()
+
+
+def test_wire_case_lines_are_as_long_as_named():
+    assert len(WIRE_CASES["65,537-byte header line"].split(b"\r\n")[1]) + 2 == 65537
+    assert len(WIRE_CASES["65,537-byte request line"].split(b"\r\n")[0]) + 2 == 65537
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_CASES))
+def test_request_parsing_replies_as_the_stdlib_does(wire_servers, case):
+    server, reference = wire_servers
+    raw = WIRE_CASES[case]
+    got, want = exchange(server, raw), exchange(reference, raw)
+    assert fields_of(got[0]) == fields_of(want[0])
+    assert got[1] == want[1]
+
+
+def test_eof_in_the_head_ends_it_as_the_stdlib_does(wire_servers):
+    server, reference = wire_servers
+    raw = FEEDS + b" HTTP/1.1\r\nHost: x\r\n"
+    got, want = exchange(server, raw, eof=True), exchange(reference, raw, eof=True)
+    assert fields_of(got[0]) == fields_of(want[0])
+    assert got[0].startswith(b"HTTP/1.1 200 OK\r\n")
+    assert got[0].endswith(GOLDEN_FEEDS_BODY.encode())
+
+
+def test_the_wire_cases_cover_each_outcome(wire_servers):
+    server, _ = wire_servers
+    statuses = {case: fields_of(exchange(server, raw)[0])[0]
+                for case, raw in WIRE_CASES.items()}
+    assert statuses["keep-alive GET"] == b"HTTP/1.1 200 OK"
+    assert statuses["leading //"] == b"HTTP/1.1 200 OK"
+    assert statuses["101 headers"] == b"HTTP/1.1 431 Too many headers"
+    assert statuses["65,537-byte request line"] == b"HTTP/1.1 414 Request-URI Too Long"
+    # as the stdlib, no status line when the error is in the version
+    assert statuses["HTTP/2.0"] is None and statuses["HTTP/1.x"] is None
+    assert exchange(server, WIRE_CASES["keep-alive GET"])[1] is True
+    assert exchange(server, WIRE_CASES["HTTP/1.0"])[1] is False
+    assert exchange(server, WIRE_CASES["empty request line"]) == (b"", False)
+
+
+def test_two_word_http_0_9_request_is_refused_where_the_stdlib_served_it(wire_servers):
+    server, reference = wire_servers
+    raw = FEEDS + b"\r\n\r\n"
+    got, want = exchange(server, raw), exchange(reference, raw)
+    assert want == (GOLDEN_FEEDS_BODY.encode(), False)  # HTTP/0.9: the body alone
+    assert got[1] is False
+    assert fields_of(got[0])[0] is None
+    assert b"Message: Bad request syntax ('GET /channels/1/feeds.json')" in got[0]
+
+
+def test_expect_100_continue_gets_the_reply_alone(wire_servers):
+    # a GET has no body to wait for, so the server may leave the 100 out
+    server, reference = wire_servers
+    raw = FEEDS + b" HTTP/1.1\r\nExpect: 100-continue\r\n\r\n"
+    got, want = exchange(server, raw), exchange(reference, raw)
+    assert want[0].startswith(INTERIM)
+    assert fields_of(got[0]) == fields_of(want[0].removeprefix(INTERIM))
+    assert got[1] == want[1] is True
+
+
+def test_read_head_keeps_the_stdlibs_limits():
+    head = b"A: 1\r\nb :  two  \r\nA: 3\r\nno colon\r\n\r\nrest"
+    rfile = io.BytesIO(head)
+    assert httpd.read_head(rfile) == {"a": "1", "b": "two"}
+    assert rfile.read() == b"rest"
+    assert httpd.read_head(io.BytesIO(b"A: 1\n")) == {"a": "1"}  # EOF ends a head
+    assert len(httpd.read_head(io.BytesIO(b"X: y\r\n" * 99 + b"\r\n"))) == 1
+    with pytest.raises(HTTPException, match="got more than 100 headers"):
+        httpd.read_head(io.BytesIO(b"X: y\r\n" * 100 + b"\r\n"))
+    assert httpd.read_head(io.BytesIO(b"X: " + b"y" * 65531 + b"\r\n")) == {"x": "y" * 65531}
+    with pytest.raises(LineTooLong):
+        httpd.read_head(io.BytesIO(b"X: " + b"y" * 65532 + b"\r\n"))
+
+
+def test_debug_log_has_one_line_per_request(http_server, caplog):
+    caplog.set_level(logging.DEBUG, logger=httpd.log.name)
+    client = HttpServiceClient(http_server.endpoint, write_key=WRITE_KEY)
+    assert client.update({1: "1.0"}) == 1
+    client.read_feeds(1)
+    with pytest.raises(UnknownChannelError):
+        client.read_feeds(9)
+    lines = [r.getMessage() for r in caplog.records if r.name == httpd.log.name]
+    assert len(lines) == 3
+    assert lines[0].startswith('127.0.0.1 "GET /update?api_key=')
+    assert lines[0].endswith(' HTTP/1.1" 200 -')
+    assert lines[1] == '127.0.0.1 "GET /channels/1/feeds.json HTTP/1.1" 200 -'
+    assert lines[2] == '127.0.0.1 "GET /channels/9/feeds.json HTTP/1.1" 404 -'
+
+
+def test_access_log_line_is_not_formatted_unless_debug_is_on(http_server, caplog,
+                                                             monkeypatch):
+    caplog.set_level(logging.INFO, logger=httpd.log.name)
+    formatted = []
+    monkeypatch.setattr(httpd._Handler, "address_string",
+                        lambda self: formatted.append(1) or "peer")
+    assert HttpServiceClient(http_server.endpoint, write_key=WRITE_KEY).update(
+        {1: "1.0"}) == 1
+    assert formatted == []
+    assert not [r for r in caplog.records if r.name == httpd.log.name]
