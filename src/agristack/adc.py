@@ -56,11 +56,6 @@ class TransferFunction:
                     f"outside [0, {self.vref}]"
                 )
 
-    @property
-    def lsb_units(self) -> float:
-        """Engineering-unit width of one converter code."""
-        return (self.vref / FULL_SCALE) / self.volts_per_unit
-
 
 def to_voltage(quantity: float, tf: TransferFunction) -> float:
     lo, hi = tf.domain

@@ -53,10 +53,6 @@ class Forecast:
     smoothed: tuple[float, ...]
     horizon: tuple[float, ...]
 
-    @property
-    def next_step(self) -> float | None:
-        return self.smoothed[-1] if self.smoothed else None
-
 
 def moving_average(series: Sequence[float], cfg: ForecastConfig = ForecastConfig()) -> Forecast:
     """Trailing moving average over `series` with the config's window.

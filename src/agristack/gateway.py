@@ -67,9 +67,6 @@ class EnergyLedger:
     def energy_mj(self, sensor: str) -> float:
         return self.on_time_s[sensor] * SENSOR_POWER_MW
 
-    def total_energy_mj(self) -> float:
-        return sum(self.energy_mj(name) for name in self.on_time_s)
-
 
 class EdgeGateway:
     """Acquisition side of the gateway.

@@ -29,7 +29,9 @@ a longer request line, 400 for bad syntax or version, 505 for HTTP/2 and
 later, no reply to an empty line, and `Connection: close` or HTTP/1.0 without
 `keep-alive` closes the connection. Unlike the stdlib, it refuses a two-word
 HTTP/0.9 request with 400, and sends no `100 Continue` to a GET that expects
-one. `read_head`, its header reader, also reads the replies that
+one. An error in the request line gets a whole reply, status line and headers
+(`Connection: close` among them), where the stdlib sends the error page alone.
+`read_head`, its header reader, also reads the replies that
 `HttpServiceClient` gets.
 
 Every reply goes out as two sends, headers then body, so TCP_NODELAY is set on
@@ -201,7 +203,9 @@ class _Handler(BaseHTTPRequestHandler):
         Returns False when the connection gets no request served: an error
         reply has been sent, or the line was empty."""
         self.command = None
-        self.request_version = self.default_request_version
+        # not the default HTTP/0.9, for which send_error writes no status
+        # line and no headers; the stdlib's own 414 reply does the same
+        self.request_version = ""
         self.close_connection = True
         self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = line.split()

@@ -13,6 +13,13 @@ a snapshot only if that prefix still matches the log and every row passes
 the checks a replay makes, and then replays only the records after it; in
 any other case it replays the whole log. The log stays the only source of
 truth: deleting a snapshot loses nothing.
+
+A write's values are checked in one pass (`_field_object`), which also builds
+the text of the entry's "f" object that its log record is made from. Each
+service remembers the value texts that passed, in a set of at most
+_ACCEPTED_MAX texts that is emptied when full, and does not check them again:
+the MCP3208 is a 12-bit converter, so each analog field has at most 4096
+distinct texts.
 """
 
 from __future__ import annotations
@@ -41,7 +48,10 @@ MAX_FIELDS = 8
 MAX_RESULTS = 8000
 DEFAULT_RATE_LIMIT_S = 15.0
 
-# ASCII only and matched in full, so a written value needs no JSON escaping
+# ASCII only and matched in full, so a written value needs no JSON escaping.
+# `_field_object` matches each value text against it once, with isfinite, and
+# a service remembers up to _ACCEPTED_MAX texts that passed so as not to
+# match them again.
 NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # the form format_timestamp writes, year zero-padded to four digits: fixed
 # width, so for years 0001-9999 these texts sort as the times they name
@@ -50,6 +60,9 @@ _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 # update stores shares these strings
 _FIELD_NAMES = {i: str(i) for i in range(1, MAX_FIELDS + 1)}
 _NAME_SET = frozenset(_FIELD_NAMES.values())
+# a service's set of accepted value texts is emptied once it holds this
+# many, which caps it at ~3 MB
+_ACCEPTED_MAX = 32768
 
 
 class ServiceError(Exception):
@@ -75,10 +88,11 @@ def utc_now() -> datetime:
 def format_timestamp(ts: datetime) -> str:
     """`ts` to the second in UTC, as the wire and the log write it. A naive
     `ts` is taken to be in UTC already."""
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+    tz = ts.tzinfo
+    if tz is not None and tz is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
     # isoformat zero-pads the year, which glibc's strftime("%Y") does not
-    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
+    return ts.isoformat()[:19] + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -190,23 +204,46 @@ class _ChannelState:
     snap_end: int = 0   # the log length the channel's snapshot covers
 
 
-def _validate_field_values(values: Mapping[int, str]) -> dict[str, str]:
-    """`values` as an entry's "f" object: index text to value, in index order."""
+def _field_object(values: Mapping[int, str], accepted: set[str]
+                  ) -> tuple[dict[str, str], str]:
+    """`values` as an entry's "f" object, index text to value in index order,
+    and that object's compact JSON text. Raises BadRequestError at the first
+    index or value, in the order given, that a write may not hold; of two
+    keys with one index, such as 1 and "1", the later one's value is kept.
+
+    A value text in `accepted` passed before and is not checked again; one
+    that passes now is added to it.
+    """
     if not values:
         raise BadRequestError("at least one field value is required")
-    cleaned: dict[int, str] = {}
+    f: dict[str, str] = {}
+    last = 0    # the last index, or past MAX_FIELDS once one is out of order
     for k, v in values.items():
-        try:
-            index = int(k)
-        except (TypeError, ValueError):
-            raise BadRequestError(f"bad field index {k!r}") from None
-        if not 1 <= index <= MAX_FIELDS:
-            raise BadRequestError(f"field index {k} outside 1..{MAX_FIELDS}")
-        text = str(v)
-        if not NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
-            raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
-        cleaned[index] = text
-    return {_FIELD_NAMES[k]: v for k, v in sorted(cleaned.items())}
+        index = k if type(k) is int and 0 < k <= MAX_FIELDS else _field_index(k)
+        text = v if type(v) is str else str(v)
+        if text not in accepted:
+            if not NUMBER_RE.fullmatch(text) or not math.isfinite(float(text)):
+                raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
+            if len(accepted) >= _ACCEPTED_MAX:
+                accepted.clear()
+            accepted.add(text)
+        last = index if index > last else MAX_FIELDS + 1
+        f[_FIELD_NAMES[index]] = text
+    if last > MAX_FIELDS:
+        f = dict(sorted(f.items()))     # one-digit names sort as their indices
+    # NUMBER_RE's texts hold no character JSON escapes
+    return f, "{" + ",".join([f'"{name}":"{text}"' for name, text in f.items()]) + "}"
+
+
+def _field_index(k) -> int:
+    """Field index `k`, given as anything `int` reads, in 1..MAX_FIELDS."""
+    try:
+        index = int(k)
+    except (TypeError, ValueError):
+        raise BadRequestError(f"bad field index {k!r}") from None
+    if not 1 <= index <= MAX_FIELDS:
+        raise BadRequestError(f"field index {k} outside 1..{MAX_FIELDS}")
+    return index
 
 
 class ChannelService:
@@ -226,6 +263,11 @@ class ChannelService:
         self._channels: dict[int, _ChannelState] = {}
         self._by_write_key: dict[str, int] = {}
         self._registry_lock = threading.Lock()
+        # value texts update accepted (see _field_object). Threads share it
+        # without a lock: whatever the interleaving, each text in it passed
+        # the check, and a race can only empty it early or let it pass
+        # _ACCEPTED_MAX by a text per thread.
+        self._accepted: set[str] = set()
         if self.data_dir is not None:
             self.data_dir.mkdir(parents=True, exist_ok=True)
             self._recover()
@@ -273,13 +315,14 @@ class ChannelService:
             cid = self._by_write_key.get(write_key)
         if cid is None:
             raise AuthError("unknown write key")
-        fields = _validate_field_values(values)
+        fields, fields_json = _field_object(values, self._accepted)
         state = self._channels[cid]
-        now = self.clock()
+        policy = state.meta.rate_limit_s
+        # the clock is read only where the write needs it
+        now = self.clock() if created_at is None or policy > 0 else None
         at = format_timestamp(created_at or now)
 
         with state.lock:
-            policy = state.meta.rate_limit_s
             if policy > 0 and state.last_accept is not None:
                 if (now - state.last_accept).total_seconds() < policy:
                     return 0
@@ -288,10 +331,11 @@ class ChannelService:
                     f"created_at {at} is before the channel's latest entry")
             entry_id = len(state.times) + 1
             if state.log is not None:
-                state.log.append(_encode_entry(entry_id, at, fields))
+                state.log.append(_encode_entry(entry_id, at, fields_json))
             state.times.append(at)
             state.fields.append(fields)
-            state.last_accept = now
+            if now is not None:
+                state.last_accept = now
             return entry_id
 
     # -- reads --------------------------------------------------------------
@@ -414,13 +458,12 @@ _ID, _AT, _F = itemgetter("id"), itemgetter("at"), itemgetter("f")
 _TIMES_RE = re.compile(rf"(?:{_TIMESTAMP_RE.pattern}\n)*", re.ASCII)
 
 
-def _encode_entry(entry_id: int, at: str, fields: Mapping[str, str]) -> bytes:
+def _encode_entry(entry_id: int, at: str, fields_json: str) -> bytes:
     """The log record `{"id":N,"at":"…","f":{"1":…}}` of entry `entry_id`,
-    created at `at` (format_timestamp's text), with `fields` in the order
-    given: byte-identical to `json.dumps` of that dict with separators
-    (",", ":")."""
-    body = ",".join([f'"{k}":{json_string(v)}' for k, v in fields.items()])
-    return f'{{"id":{entry_id},"at":"{at}","f":{{{body}}}}}'.encode()
+    created at `at` (format_timestamp's text), whose "f" object has the
+    compact JSON text `fields_json` (as _field_object builds it):
+    byte-identical to `json.dumps` of that dict with separators (",", ":")."""
+    return f'{{"id":{entry_id},"at":"{at}","f":{fields_json}}}'.encode()
 
 
 def _decode_entries(records: list[bytes], first_id: int = 1

@@ -60,23 +60,23 @@ class RecordLog:
         self._crc = 0           # crc32 of the bytes before _end; None if unknown
         self._fenced = False
 
-    def _handle(self):
-        if self._fh is None or self._fh.closed:
-            created = not self.path.exists()
-            fh = open(self.path, "ab", buffering=0)
-            if created and self.fsync:
-                try:
-                    fsync_directory(self.path.parent)
-                except BaseException:
-                    # the next append creates the file again and syncs that
-                    fh.close()
-                    self.path.unlink(missing_ok=True)
-                    raise
-            self._fh = fh
-            end = fh.tell()     # append mode opens at the end
-            if end != self._end:    # bytes this object neither read nor wrote
-                self._end, self._crc = end, None
-        return self._fh
+    def _open(self):
+        """Open the file for appends, creating it if need be."""
+        created = not self.path.exists()
+        fh = open(self.path, "ab", buffering=0)
+        if created and self.fsync:
+            try:
+                fsync_directory(self.path.parent)
+            except BaseException:
+                # the next append creates the file again and syncs that
+                fh.close()
+                self.path.unlink(missing_ok=True)
+                raise
+        self._fh = fh
+        end = fh.tell()     # append mode opens at the end
+        if end != self._end:    # bytes this object neither read nor wrote
+            self._end, self._crc = end, None
+        return fh
 
     def append(self, payload: bytes) -> None:
         if len(payload) > MAX_RECORD_BYTES:
@@ -85,7 +85,9 @@ class RecordLog:
             raise OSError(errno.EIO, f"{self.path}: a failed append could not be"
                                      f" cut off; replay the log before appending")
         record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        fh = self._handle()
+        fh = self._fh
+        if fh is None or fh.closed:
+            fh = self._open()
         try:
             written = fh.write(record)
             if written != len(record):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import http.client
+import json
 from datetime import datetime, timezone
+from typing import NamedTuple
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 
@@ -43,3 +47,55 @@ def http_server(memory_service):
     server = ChannelHttpServer(memory_service).start()
     yield server
     server.stop()
+
+
+class HttpReply(NamedTuple):
+    status_code: int
+    headers: http.client.HTTPMessage    # looked up by any case of a name
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+class HttpSession:
+    """GETs over one keep-alive connection to the server a first URL names.
+
+    Replies are read by http.client, a client independent of the server's
+    own header reader (httpd.read_head).
+    """
+
+    def __init__(self, timeout: float = 5):
+        self.timeout = timeout
+        self.conn: http.client.HTTPConnection | None = None
+
+    def get(self, url: str, params: dict[str, str] | None = None) -> HttpReply:
+        parts = urlsplit(url)
+        if self.conn is None:
+            self.conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                                   timeout=self.timeout)
+        query = "&".join(q for q in (parts.query, urlencode(params or {})) if q)
+        self.conn.request("GET", parts.path + (f"?{query}" if query else ""))
+        reply = self.conn.getresponse()
+        return HttpReply(reply.status, reply.headers, reply.read())
+
+    def close(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+
+    def __enter__(self) -> "HttpSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def http_get(url: str, params: dict[str, str] | None = None,
+             timeout: float = 5) -> HttpReply:
+    """GET `url` with the query `params` on a connection of its own."""
+    with HttpSession(timeout) as session:
+        return session.get(url, params)

@@ -11,7 +11,6 @@ import threading
 import time
 
 import pytest
-import requests
 
 from agristack import adc
 from agristack.analytics import (HIGH_TEMP_MESSAGE, AlertRule, DutyCycleConfig,
@@ -24,7 +23,7 @@ from agristack.envsim import ScenarioSpec, parse_scenario, simulate
 from agristack.httpd import ChannelHttpServer, feed_doc
 from agristack.pipeline import run_pipeline
 from agristack.service import ChannelService, parse_timestamp
-from tests.conftest import FIELD_LABELS, WRITE_KEY
+from tests.conftest import FIELD_LABELS, WRITE_KEY, http_get
 from tests.test_analytics import series_of
 from tests.test_httpd import GOLDEN_FEEDS_BODY, write_golden_entries
 from tests.test_pipeline import FLAT_FAIR_WEATHER, LOW_PRESSURE
@@ -58,8 +57,8 @@ def test_criterion_1_paper_hour_replay():
         code = cli_main(["--endpoint", server.endpoint, "run", "--scenario",
                          "paper_hour", "--speed", "max", "--write-key", WRITE_KEY])
         assert code == 0
-        doc = requests.get(f"{server.endpoint}/channels/1/feeds.json",
-                           params={"results": 8000}, timeout=10).json()
+        doc = http_get(f"{server.endpoint}/channels/1/feeds.json",
+                       params={"results": 8000}, timeout=10).json()
     finally:
         server.stop()
     elapsed = time.perf_counter() - started
@@ -273,13 +272,13 @@ def test_criterion_8_service_contract(tmp_path):
                            rate_limit_s=15.0)
     server = ChannelHttpServer(limited).start()
     try:
-        first = requests.get(f"{server.endpoint}/update",
-                             params={"api_key": "RATELIMITKEY0001",
-                                     "field1": "1.0"}, timeout=5)
+        first = http_get(f"{server.endpoint}/update",
+                         params={"api_key": "RATELIMITKEY0001",
+                                 "field1": "1.0"}, timeout=5)
         clock.advance(5.0)
-        second = requests.get(f"{server.endpoint}/update",
-                              params={"api_key": "RATELIMITKEY0001",
-                                      "field1": "2.0"}, timeout=5)
+        second = http_get(f"{server.endpoint}/update",
+                          params={"api_key": "RATELIMITKEY0001",
+                                  "field1": "2.0"}, timeout=5)
         rate_ok = (first.text == "1"
                    and (second.status_code, second.text) == (200, "0"))
     finally:
@@ -311,8 +310,8 @@ def test_criterion_8_service_contract(tmp_path):
     golden_server = ChannelHttpServer(golden_service).start()
     try:
         write_golden_entries(golden_server)
-        body = requests.get(f"{golden_server.endpoint}/channels/1/feeds.json",
-                            params={"results": 3}, timeout=5)
+        body = http_get(f"{golden_server.endpoint}/channels/1/feeds.json",
+                        params={"results": 3}, timeout=5)
         golden_ok = body.text == GOLDEN_FEEDS_BODY
     finally:
         golden_server.stop()

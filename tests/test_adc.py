@@ -111,8 +111,9 @@ def test_end_to_end_unit_error_within_one_lsb(name, tolerance):
     for _ in range(2_000):
         q = rng.uniform(lo, hi)
         assert abs(convert_units(q, tf) - q) <= tolerance
-    # the implied LSB width matches the documented tolerances
-    assert tf.lsb_units <= tolerance + 1e-4
+    # the implied LSB width, one code's volts in the sensor's unit, matches
+    # the documented tolerances
+    assert (tf.vref / FULL_SCALE) / tf.volts_per_unit <= tolerance + 1e-4
 
 
 def test_from_voltage_inverts_to_voltage():

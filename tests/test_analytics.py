@@ -45,14 +45,14 @@ def test_constant_series_forecast_is_constant():
 def test_window_three_oracle():
     fc = moving_average([10, 20, 30, 40], ForecastConfig(window=3))
     assert list(fc.smoothed) == [pytest.approx(20.0), pytest.approx(30.0)]
-    assert fc.next_step == pytest.approx(30.0)
+    assert fc.smoothed[-1] == pytest.approx(30.0)
 
 
 def test_short_series_yields_empty_forecast():
     fc = moving_average([1.0, 2.0], ForecastConfig(window=3))
     assert fc.smoothed == ()
     assert fc.horizon == ()
-    assert fc.next_step is None
+    assert fc.smoothed[-1:] == ()     # no last step to extend
 
 
 def test_horizon_is_flat_persistence():

@@ -12,7 +12,6 @@ import threading
 from pathlib import Path
 
 import pytest
-import requests
 
 import agristack
 from agristack import cli as cli_module, httpd
@@ -21,7 +20,7 @@ from agristack.cli import DEFAULT_WRITE_KEY, _entry_to_reading, cli, main, spark
 from agristack.client import HttpServiceClient
 from agristack.service import ChannelService
 from agristack.storelog import RecordLog
-from tests.conftest import WRITE_KEY
+from tests.conftest import WRITE_KEY, http_get
 
 
 def run_cli(capsys, *args):
@@ -53,7 +52,7 @@ def seed_entries(server, rows):
     """rows: list of (created_at, fields dict)"""
     for created_at, fields in rows:
         params = {"api_key": WRITE_KEY, "created_at": created_at, **fields}
-        r = requests.get(f"{server.endpoint}/update", params=params, timeout=5)
+        r = http_get(f"{server.endpoint}/update", params=params, timeout=5)
         assert r.status_code == 200 and r.text != "0"
 
 
@@ -147,8 +146,8 @@ def test_plot_round_trip_reproduces_feed_values(http_server, capsys):
                            "--field", "2", "--results", "10")
     assert code == 0
     reader = list(csv.reader(io.StringIO(out)))
-    doc = requests.get(f"{http_server.endpoint}/channels/1/fields/2.json",
-                       params={"results": 10}, timeout=5).json()
+    doc = http_get(f"{http_server.endpoint}/channels/1/fields/2.json",
+                   params={"results": 10}, timeout=5).json()
     exported = [(row[0], row[1] or None) for row in reader[1:]]
     expected = [(e["created_at"], e["field2"]) for e in doc["feeds"]]
     assert exported == expected
@@ -238,8 +237,8 @@ def test_watch_alerts_matches_offline_evaluation(http_server, capsys):
                            http_server.endpoint, "--max-polls", "3", "--poll", "0")
     assert code == 0
 
-    doc = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                       params={"results": 8000}, timeout=5).json()
+    doc = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                   params={"results": 8000}, timeout=5).json()
     readings = [_entry_to_reading(e) for e in doc["feeds"]]
     offline = evaluate_alerts(readings, default_rules())
     assert len(out.splitlines()) == len(offline)
@@ -300,8 +299,8 @@ def test_run_against_endpoint(http_server, capsys):
                            "--scenario", "paper_hour", "--speed", "max",
                            "--write-key", WRITE_KEY)
     assert code == 0
-    doc = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                       params={"results": 8000}, timeout=5).json()
+    doc = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                   params={"results": 8000}, timeout=5).json()
     assert len(doc["feeds"]) == 360
 
 

@@ -61,7 +61,7 @@ def test_all_sensors_off_raises_and_accrues_nothing():
     gw = EdgeGateway(schedule=all_off(until=100.0))
     with pytest.raises(EmptyReadingError):
         gw.acquire_cycle(0.0, ENV)
-    assert gw.ledger.total_energy_mj() == 0.0
+    assert sum(map(gw.ledger.energy_mj, gw.ledger.on_time_s)) == 0.0
 
 
 def test_timestamps_follow_sim_time():
@@ -107,7 +107,9 @@ def test_schedule_energy_never_exceeds_always_on():
     gw_full = EdgeGateway()
     run_cycles(gw_scheduled, 100)
     run_cycles(gw_full, 100)
-    assert gw_scheduled.ledger.total_energy_mj() < gw_full.ledger.total_energy_mj()
+    scheduled, full = gw_scheduled.ledger, gw_full.ledger
+    assert (sum(map(scheduled.energy_mj, scheduled.on_time_s))
+            < sum(map(full.energy_mj, full.on_time_s)))
 
 
 def test_apply_schedule_swaps_mid_run():

@@ -14,7 +14,6 @@ from datetime import datetime, timedelta, timezone
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler
 
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +26,7 @@ from agristack.client import HttpServiceClient, ServiceUnavailable
 from agristack.service import (ChannelService, FeedEntry, UnknownChannelError,
                                _encode_entry, format_timestamp)
 from agristack.storelog import RecordLog
-from tests.conftest import WRITE_KEY
+from tests.conftest import WRITE_KEY, HttpSession, http_get
 
 BASE = datetime(2024, 12, 15, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -52,7 +51,7 @@ GOLDEN_FIELD_BODY = (
 
 
 def _update(server, **params):
-    return requests.get(f"{server.endpoint}/update", params=params, timeout=5)
+    return http_get(f"{server.endpoint}/update", params=params, timeout=5)
 
 
 def write_golden_entries(server):
@@ -77,7 +76,7 @@ def test_update_bad_key_is_401(http_server):
 
 
 def test_update_missing_key_is_401(http_server):
-    r = requests.get(f"{http_server.endpoint}/update?field1=1.0", timeout=5)
+    r = http_get(f"{http_server.endpoint}/update?field1=1.0", timeout=5)
     assert r.status_code == 401
 
 
@@ -100,8 +99,8 @@ def test_update_bad_created_at_is_400(http_server):
 
 def test_feeds_body_matches_golden_fixture_byte_for_byte(http_server):
     write_golden_entries(http_server)
-    r = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                     params={"results": 3}, timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                 params={"results": 3}, timeout=5)
     assert r.status_code == 200
     assert r.headers["Content-Type"].startswith("application/json")
     assert r.text == GOLDEN_FEEDS_BODY
@@ -110,49 +109,49 @@ def test_feeds_body_matches_golden_fixture_byte_for_byte(http_server):
 
 def test_single_field_body_matches_golden_fixture(http_server):
     write_golden_entries(http_server)
-    r = requests.get(f"{http_server.endpoint}/channels/1/fields/1.json",
-                     params={"results": 3}, timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/fields/1.json",
+                 params={"results": 3}, timeout=5)
     assert r.status_code == 200
     assert r.text == GOLDEN_FIELD_BODY
 
 
 def test_feeds_results_and_window_filters(http_server):
     write_golden_entries(http_server)
-    r = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                     params={"results": 1}, timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                 params={"results": 1}, timeout=5)
     assert [e["entry_id"] for e in r.json()["feeds"]] == [2]
-    r = requests.get(
+    r = http_get(
         f"{http_server.endpoint}/channels/1/feeds.json",
         params={"start": "2024-12-15T10:00:00Z", "end": "2024-12-15T10:00:10Z"},
         timeout=5)
     assert [e["entry_id"] for e in r.json()["feeds"]] == [1]
-    r = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                     params={"results": 0}, timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                 params={"results": 0}, timeout=5)
     body = r.json()
     assert body["feeds"] == []
     assert body["channel"]["id"] == 1
 
 
 def test_unknown_channel_is_404(http_server):
-    r = requests.get(f"{http_server.endpoint}/channels/99/feeds.json", timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/99/feeds.json", timeout=5)
     assert r.status_code == 404
     assert r.json() == {"error": "channel not found"}
 
 
 def test_unknown_endpoint_is_404(http_server):
-    r = requests.get(f"{http_server.endpoint}/nope", timeout=5)
+    r = http_get(f"{http_server.endpoint}/nope", timeout=5)
     assert r.status_code == 404
 
 
 def test_unknown_field_is_404(http_server):
     write_golden_entries(http_server)
-    r = requests.get(f"{http_server.endpoint}/channels/1/fields/7.json", timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/fields/7.json", timeout=5)
     assert r.status_code == 404
 
 
 def test_bad_results_param_is_400(http_server):
-    r = requests.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                     params={"results": "many"}, timeout=5)
+    r = http_get(f"{http_server.endpoint}/channels/1/feeds.json",
+                 params={"results": "many"}, timeout=5)
     assert r.status_code == 400
 
 
@@ -176,13 +175,12 @@ def test_concurrent_http_writers_preserve_gapless_ids(http_server):
     lock = threading.Lock()
 
     def hammer():
-        session = requests.Session()
         got = []
-        for i in range(25):
-            r = session.get(f"{http_server.endpoint}/update",
-                            params={"api_key": WRITE_KEY, "field1": f"{i}.0"},
-                            timeout=5)
-            got.append(r.text)
+        with HttpSession() as session:
+            for i in range(25):
+                r = session.get(f"{http_server.endpoint}/update",
+                                params={"api_key": WRITE_KEY, "field1": f"{i}.0"})
+                got.append(r.text)
         with lock:
             results.extend(got)
 
@@ -197,18 +195,17 @@ def test_concurrent_http_writers_preserve_gapless_ids(http_server):
 def test_keepalive_requests_do_not_wait_for_delayed_ack(http_server):
     # Each reply is two sends; if the second waits on the client's delayed
     # ACK (Nagle), every request costs ~40 ms and 100 of them ~4 s.
-    with requests.Session() as session:
+    with HttpSession() as session:
         started = time.perf_counter()
         for i in range(50):
             r = session.get(f"{http_server.endpoint}/update",
-                            params={"api_key": WRITE_KEY, "field1": f"{i}.0"},
-                            timeout=5)
+                            params={"api_key": WRITE_KEY, "field1": f"{i}.0"})
             assert (r.status_code, r.text) == (200, str(i + 1))
         writes_s = time.perf_counter() - started
         started = time.perf_counter()
         for _ in range(50):
             r = session.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                            params={"results": 3}, timeout=5)
+                            params={"results": 3})
             assert r.status_code == 200 and len(r.json()["feeds"]) == 3
         reads_s = time.perf_counter() - started
     assert writes_s < 1.0, f"50 keep-alive writes took {writes_s:.2f}s"
@@ -310,7 +307,8 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
     log = RecordLog(tmp_path / "channel_1.log", fsync=False)
     at = datetime(2024, 12, 15, tzinfo=timezone.utc)
     log.append(_encode_entry(1, format_timestamp(at),
-                             {"1": "1\n", "2": "\u0663", "3": "2.5"}))
+                             json.dumps({"1": "1\n", "2": "\u0663", "3": "2.5"},
+                                        separators=(",", ":"))))
     log.close()
 
     entries = [FeedEntry(1, at, {1: "1\n", 2: "\u0663", 3: "2.5"})]
@@ -396,8 +394,8 @@ def memos_given(monkeypatch) -> list[dict[int, str]]:
 
 def poll(server, channel_id=1, **params):
     """The body of a GET of channel `channel_id`'s feeds.json."""
-    r = requests.get(f"{server.endpoint}/channels/{channel_id}/feeds.json",
-                     params=params, timeout=5)
+    r = http_get(f"{server.endpoint}/channels/{channel_id}/feeds.json",
+                 params=params, timeout=5)
     assert r.status_code == 200
     return r.text
 
@@ -570,10 +568,7 @@ WIRE_CASES = {
     "Connection: close": FEEDS + b" HTTP/1.1\r\nConnection: close\r\n\r\n",
     "CONNECTION: Close": FEEDS + b" HTTP/1.1\r\nCONNECTION: Close\r\n\r\n",
     "empty request line": b"\r\n",
-    "one word": b"GET\r\n\r\n",
     "four words": FEEDS + b" x HTTP/1.1\r\n\r\n",
-    "HTTP/2.0": FEEDS + b" HTTP/2.0\r\n\r\n",
-    "HTTP/1.x": FEEDS + b" HTTP/1.x\r\n\r\n",
     "99 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 99 + b"\r\n",
     "100 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n",
     "101 headers": FEEDS + b" HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n",
@@ -629,11 +624,40 @@ def test_the_wire_cases_cover_each_outcome(wire_servers):
     assert statuses["leading //"] == b"HTTP/1.1 200 OK"
     assert statuses["101 headers"] == b"HTTP/1.1 431 Too many headers"
     assert statuses["65,537-byte request line"] == b"HTTP/1.1 414 Request-URI Too Long"
-    # as the stdlib, no status line when the error is in the version
-    assert statuses["HTTP/2.0"] is None and statuses["HTTP/1.x"] is None
     assert exchange(server, WIRE_CASES["keep-alive GET"])[1] is True
     assert exchange(server, WIRE_CASES["HTTP/1.0"])[1] is False
     assert exchange(server, WIRE_CASES["empty request line"]) == (b"", False)
+
+
+# Request lines the stdlib answers with the error page alone, no status line
+# and no headers, as HTTP/0.9 is answered; the handler sends a whole reply.
+REQUEST_LINE_ERRORS = {
+    "one word": (b"GET\r\n\r\n", b"HTTP/1.1 400 Bad request syntax ('GET')"),
+    "HTTP/2.0": (FEEDS + b" HTTP/2.0\r\n\r\n", b"HTTP/1.1 505 Invalid HTTP version (2.0)"),
+    "HTTP/1.x": (FEEDS + b" HTTP/1.x\r\n\r\n",
+                 b"HTTP/1.1 400 Bad request version ('HTTP/1.x')"),
+}
+
+
+def _is_error_reply(reply: bytes, status: bytes) -> bool:
+    """Whether `reply` is a whole send_error reply with status line `status`
+    that closes the connection."""
+    got, headers, body = fields_of(reply)
+    return (got == status and b"Connection: close" in headers
+            and b"Content-Type: text/html;charset=utf-8" in headers
+            and f"Content-Length: {len(body)}".encode() in headers)
+
+
+@pytest.mark.parametrize("case", sorted(REQUEST_LINE_ERRORS))
+def test_request_line_errors_get_a_status_line_where_the_stdlib_sent_none(wire_servers,
+                                                                         case):
+    server, reference = wire_servers
+    raw, status = REQUEST_LINE_ERRORS[case]
+    got, want = exchange(server, raw), exchange(reference, raw)
+    assert fields_of(want[0])[0] is None      # the stdlib: the page alone
+    assert _is_error_reply(got[0], status)
+    assert fields_of(got[0])[2] == want[0]    # the same page
+    assert got[1] is want[1] is False
 
 
 def test_two_word_http_0_9_request_is_refused_where_the_stdlib_served_it(wire_servers):
@@ -642,7 +666,8 @@ def test_two_word_http_0_9_request_is_refused_where_the_stdlib_served_it(wire_se
     got, want = exchange(server, raw), exchange(reference, raw)
     assert want == (GOLDEN_FEEDS_BODY.encode(), False)  # HTTP/0.9: the body alone
     assert got[1] is False
-    assert fields_of(got[0])[0] is None
+    assert _is_error_reply(
+        got[0], b"HTTP/1.1 400 Bad request syntax ('GET /channels/1/feeds.json')")
     assert b"Message: Bad request syntax ('GET /channels/1/feeds.json')" in got[0]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -112,6 +113,18 @@ def test_created_at_defaults_to_service_clock(memory_service, clock):
     memory_service.update(WRITE_KEY, {1: "1.0"})
     [entry] = feeds(memory_service.read_feeds(1))
     assert parse_timestamp(entry["created_at"]) == clock.now
+
+
+def test_rate_limit_holds_for_writes_that_carry_created_at(tmp_path, clock):
+    # the service clock, not created_at, paces a rate-limited channel
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=15.0)
+    assert service.update(WRITE_KEY, {1: "1.0"}, created_at=T("2024-12-15T09:00:00Z")) == 1
+    clock.advance(5.0)
+    assert service.update(WRITE_KEY, {1: "2.0"}, created_at=T("2024-12-15T09:00:10Z")) == 0
+    service.close()
+    assert len(RecordLog(tmp_path / "channel_1.log", fsync=False).replay()) == 1
+    assert [d["field1"] for d in feeds(service.read_feeds(1))] == ["1.0"]
 
 
 def test_out_of_order_created_at_rejected(memory_service):
@@ -710,9 +723,11 @@ def test_concurrent_reads_and_writes_see_consistent_pages(clock):
 
 
 def record(entry: FeedEntry) -> bytes:
-    """The log record of `entry`, as update writes it."""
+    """The log record of `entry`, as update writes it; its values may be any
+    text, as in a log written before update checked them."""
+    f = {str(k): v for k, v in sorted(entry.fields.items())}
     return _encode_entry(entry.entry_id, format_timestamp(entry.created_at),
-                         {str(k): v for k, v in sorted(entry.fields.items())})
+                         json.dumps(f, separators=(",", ":")))
 
 
 def reference_encode_entry(entry: FeedEntry) -> bytes:
@@ -758,6 +773,160 @@ log_entries = entries_with(st.integers(0, 99))
 @given(entry=log_entries)
 def test_encode_entry_matches_the_json_dumps_reference(entry):
     assert record(entry) == reference_encode_entry(entry)
+
+
+# -- the write path against the validation and record it replaced -----------
+
+
+def reference_field_values(values):
+    """An entry's "f" object, as update checked and built it before one pass
+    did both."""
+    if not values:
+        raise BadRequestError("at least one field value is required")
+    cleaned: dict[int, str] = {}
+    for k, v in values.items():
+        try:
+            index = int(k)
+        except (TypeError, ValueError):
+            raise BadRequestError(f"bad field index {k!r}") from None
+        if not 1 <= index <= MAX_FIELDS:
+            raise BadRequestError(f"field index {k} outside 1..{MAX_FIELDS}")
+        text = str(v)
+        if (not service_module.NUMBER_RE.fullmatch(text)
+                or not math.isfinite(float(text))):
+            raise BadRequestError(f"field{k} value {text!r} is not a decimal number")
+        cleaned[index] = text
+    return {str(k): v for k, v in sorted(cleaned.items())}
+
+
+def reference_record(entry_id: int, at: str, values) -> bytes:
+    doc = {"id": entry_id, "at": at, "f": reference_field_values(values)}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def reference_format_timestamp(ts: datetime) -> str:
+    """format_timestamp as it was, with astimezone for every time."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
+
+
+field_keys = st.one_of(
+    st.sampled_from([1, "1", True, False, 0, 9, "x", 3, "4", " 5", "6 ", "1_0", "\u0663",
+                     "\uff17", 2.0, 2.5, -1, None, b"1", "+2", "0x1"]),
+    st.integers(1, MAX_FIELDS), st.integers(-3, 12), st.text(max_size=3))
+field_values = st.one_of(
+    decimal_text, st.one_of(
+        st.sampled_from(["1_0", " 1", "1 ", "\u0663", "\u0661.5", "nan", "NaN", "inf",
+                         "-Infinity", "1e999", "-1e999", "1e-999", "+.5e-3", "5.", ".",
+                         "", "0x10", "1.5\n", "\"1\"", "21.50", "-0", "00.0"]),
+        st.integers(-10**20, 10**20), st.floats(), st.booleans(), st.none(),
+        st.decimals(allow_nan=True), any_text))
+# lists of pairs, so that keys arrive in any order and one index can come twice
+field_mappings = st.lists(st.tuples(field_keys, field_values), max_size=10).map(dict)
+
+
+def outcome(write):
+    """What `write()` returns, or the message of the BadRequestError it raises."""
+    try:
+        return write()
+    except BadRequestError as exc:
+        return BadRequestError, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=field_mappings, warm=st.booleans())
+@example(values={1: "1", "1": "2.5", True: "3"}, warm=False)
+@example(values={4: "1", 2: "2", 3: "nan", 1: "x"}, warm=True)
+@example(values={"1_0": "1"}, warm=False)
+@example(values={" 1": "+.5e-3", 2: "5.", 3: 1e300}, warm=False)
+@example(values={0: "1", 9: "1"}, warm=False)
+@example(values={2.5: "1.0", 2.0: "2", True: "3"}, warm=True)
+def test_update_refuses_or_logs_as_the_reference(values, warm):
+    # warm: the second write finds the texts the first one accepted
+    want = outcome(lambda: reference_record(1, "2024-12-15T10:00:00Z", values))
+    with tempfile.TemporaryDirectory() as data_dir:
+        service = ChannelService(data_dir=data_dir, fsync=False)
+        service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+        got = [outcome(lambda: service.update(WRITE_KEY, values, created_at=BASE))
+               for _ in range(1 + warm)]
+        service.close()
+        logged = RecordLog(f"{data_dir}/channel_1.log", fsync=False).replay()
+    if isinstance(want, tuple):
+        assert got == [want] * (1 + warm)
+        assert logged == []
+    else:
+        assert got == list(range(1, 2 + warm))
+        assert logged == [want.replace(b'"id":1,', b'"id":%d,' % i) for i in got]
+
+
+def test_a_refused_text_stays_refused_after_the_accepted_set_is_emptied(memory_service,
+                                                                        monkeypatch):
+    monkeypatch.setattr(service_module, "_ACCEPTED_MAX", 4)
+    accepted = memory_service._accepted
+    refused = ["nan", "1e999", "1_0", "\u0663", " 1"]
+    for i in range(11):
+        assert memory_service.update(WRITE_KEY, {1: f"{i}.5"}) == i + 1
+        assert len(accepted) <= 4
+        for text in refused:
+            with pytest.raises(BadRequestError, match=r"^field1 value .* is not a decimal"):
+                memory_service.update(WRITE_KEY, {1: text})
+    assert accepted == {"8.5", "9.5", "10.5"}   # emptied after 0.5..3.5, 4.5..7.5
+
+
+def test_writer_threads_share_the_accepted_set_without_a_lock(clock, monkeypatch):
+    monkeypatch.setattr(service_module, "_ACCEPTED_MAX", 8)
+    service = ChannelService(clock=clock)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    problems: list[str] = []
+    sizes: list[int] = []
+
+    def writer(n):
+        for i in range(200):
+            service.update(WRITE_KEY, {1: f"{n}.{i % 13}", 2: f"{i % 7}"})
+            try:
+                service.update(WRITE_KEY, {1: f"{n}.{i % 13}", 2: "nan"})
+                problems.append("nan accepted")
+            except BadRequestError:
+                pass
+            sizes.append(len(service._accepted))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+    assert "nan" not in service._accepted
+    # a race can only empty the set early or let each thread add one past
+    # the bound
+    assert max(sizes) <= 8 + len(threads)
+    page = service.read_feeds(1)
+    assert len(page.ids) == 1200
+    assert all(f["2"] != "nan" for f in page.fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                    timezones=st.one_of(
+                        st.none(), st.just(timezone.utc),
+                        st.just(timezone(timedelta(hours=5, minutes=30))),
+                        st.timedeltas(timedelta(hours=-23, minutes=-59),
+                                      timedelta(hours=23, minutes=59)).map(timezone))))
+@example(datetime(2024, 12, 15, 10))
+@example(datetime(2024, 12, 15, 10, tzinfo=timezone.utc))
+@example(datetime(2024, 12, 15, 10, tzinfo=timezone(timedelta(hours=5, minutes=30))))
+@example(datetime(1, 1, 2, tzinfo=timezone.utc))
+@example(datetime(999, 12, 31, 23, 59, 59, 999999))
+@example(datetime(2024, 12, 15, 10, 0, 0, 123456, tzinfo=timezone.utc))
+def test_format_timestamp_matches_the_astimezone_formula(ts):
+    assert format_timestamp(ts) == reference_format_timestamp(ts)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])

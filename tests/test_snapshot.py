@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from agristack import service as service_module
 from agristack import storelog
 from agristack.service import (MAX_RESULTS, ChannelService, CorruptStateError,
-                               _encode_entry, _write_snapshot, format_timestamp)
+                               _encode_entry, _field_object, _write_snapshot,
+                               format_timestamp)
 from agristack.storelog import CorruptLogError, RecordLog
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 from tests.test_service import InjectedFaults
@@ -160,7 +161,8 @@ def test_a_snapshot_followed_by_a_torn_tail(tmp_path):
     service.close()
     length = (tmp_path / LOG).stat().st_size
     at, values = entry_at(31)
-    torn = _encode_entry(31, format_timestamp(at), {"1": values[1]})
+    torn = _encode_entry(31, format_timestamp(at),
+                         _field_object({1: values[1]}, set())[1])
     with open(tmp_path / LOG, "ab") as fh:
         fh.write(storelog._HEADER.pack(len(torn), 0) + torn[:9])
     assert same_as_full_replay(tmp_path) == {1: expected}
@@ -398,7 +400,7 @@ def test_reopened_rows_match_the_model_with_and_without_snapshots(sessions):
             if torn:
                 at, values = entry_at(len(model) + 1)
                 payload = _encode_entry(len(model) + 1, format_timestamp(at),
-                                        {"1": values[1]})
+                                        _field_object({1: values[1]}, set())[1])
                 with open(data_dir / LOG, "ab") as fh:
                     fh.write((storelog._HEADER.pack(len(payload), 0) + payload)[:torn])
             assert same_as_full_replay(data_dir) == {1: model}
