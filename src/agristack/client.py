@@ -139,8 +139,12 @@ class HttpServiceClient:
         try:
             # The server sends nothing unasked, so a readable idle socket
             # holds the EOF of a server that closed it (its idle timeout).
-            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-                conn.close()
+            # poll, unlike select, takes a descriptor of any number.
+            if conn.sock is not None:
+                idle = select.poll()
+                idle.register(conn.sock, select.POLLIN)
+                if idle.poll(0):
+                    conn.close()
             conn.request("GET", target, headers=self._headers)
             resp = conn.getresponse()
             body = resp.read()

@@ -34,10 +34,12 @@ one. An error in the request line gets a whole reply, status line and headers
 `read_head`, its header reader, also reads the replies that
 `HttpServiceClient` gets.
 
-Every reply goes out as two sends, headers then body, so TCP_NODELAY is set on
-each connection: with Nagle's algorithm on, the body would wait for the peer's
-delayed ACK, about 40 ms per request on loopback. Joining the two would copy
-each body once more, and a 966 kB feed body took ~5% longer to serve that way.
+A reply whose body is under _ONE_WRITE_MAX bytes goes out in one write, head
+and body joined. A longer one goes out as two, head then body: joining would
+copy the body once more, and a 966 kB feed body took ~5% longer to serve that
+way. So TCP_NODELAY is set on each connection: with Nagle's algorithm on, the
+body of a two-write reply would wait for the peer's delayed ACK, about 40 ms
+per request on loopback. The Date header's text is made once per second.
 """
 
 from __future__ import annotations
@@ -46,10 +48,14 @@ import json
 import logging
 import re
 import threading
-from collections.abc import Iterable, Mapping
+import time
+from collections.abc import Iterable, Sequence
+from email.utils import formatdate
+from functools import lru_cache
 from http import HTTPStatus
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import repeat
 from urllib.parse import parse_qs, urlparse
 
 from . import service as svc
@@ -73,6 +79,16 @@ _MAX_LINE = 65536
 _MAX_HEAD_LINES = 100
 
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+# a reply whose body is shorter goes out in one write (see the module docstring)
+_ONE_WRITE_MAX = 65536
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The Date header text of `second`, whole seconds since the epoch, as
+    `BaseHTTPRequestHandler.date_time_string` writes it."""
+    return formatdate(second, usegmt=True)
 
 
 def read_head(rfile) -> dict[str, str]:
@@ -115,20 +131,21 @@ def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     return doc
 
 
-def render_entry(entry_id: int, created_at: str, fields: Mapping[str, str],
-                 names: Iterable[str]) -> str:
-    """Entry `entry_id`, created at `created_at` (format_timestamp's text)
-    with the values `fields` by field name, as the compact JSON object a feed
-    body lists: fields `names` in the given order, null where the entry has
-    no value.
+def render_entry(entry_id: int, created_at: str,
+                 columns: Sequence[list[str | None] | None], names: Iterable[str]) -> str:
+    """Entry `entry_id`, created at `created_at` (format_timestamp's text),
+    as the compact JSON object a feed body lists: fields `names` in the given
+    order, each with its value in the column at the same place in `columns`
+    (row entry_id - 1), null where that value is None or the column is None.
 
     Byte-identical to `json.dumps` of the same dict with separators (",", ":"):
     the timestamp and the names hold no character JSON escapes, and each
     value goes through `svc.json_string`.
     """
+    row = entry_id - 1
     parts = [f'{{"created_at":"{created_at}","entry_id":{entry_id}']
-    for name in names:
-        value = fields.get(name)
+    for name, column in zip(names, columns):
+        value = None if column is None else column[row]
         if value is None:
             parts.append(f',"field{name}":null')
         else:
@@ -142,8 +159,9 @@ def feeds_body(page: svc.FeedPage, only_field: int | None,
     """The feed body of `page`; a full-channel one reads and fills `memo`,
     the entry texts of the page's channel by entry_id."""
     header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
-    times, fields = page.times, page.fields
+    times = page.times
     names = [str(k) for k in _doc_fields(page.channel, only_field)]
+    columns = [page.columns.get(name) for name in names]
     if only_field is None:
         if len(memo) > 2 * svc.MAX_RESULTS:
             # copy() is atomic where iterating would race another thread
@@ -157,35 +175,34 @@ def feeds_body(page: svc.FeedPage, only_field: int | None,
             text = memo.get(entry_id)
             if text is None:
                 text = memo[entry_id] = render_entry(
-                    entry_id, times[entry_id - 1], fields[entry_id - 1], names)
+                    entry_id, times[entry_id - 1], columns, names)
             feeds.append(text)
     else:
-        feeds = [render_entry(i, times[i - 1], fields[i - 1], names) for i in page.ids]
+        feeds = [render_entry(i, times[i - 1], columns, names) for i in page.ids]
     return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
 
 
 def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
     """The document `json.loads(feeds_body(page, only_field))` returns, built
-    from the page's rows without rendering it.
+    from the page's columns without rendering it, one field at a time.
 
     Each call builds fresh dicts; the values are the channel's own strings,
     None where an entry has no value.
     """
-    keys = [(str(k), f"field{k}") for k in _doc_fields(page.channel, only_field)]
-    times, fields = page.times, page.fields
-    feeds = []
-    for entry_id in page.ids:
-        item = {"created_at": times[entry_id - 1], "entry_id": entry_id}
-        values = fields[entry_id - 1]
-        for name, key in keys:
-            item[key] = values.get(name)
-        feeds.append(item)
+    ids = page.ids
+    rows = slice(ids.start - 1, ids.stop - 1)
+    feeds = [{"created_at": at, "entry_id": entry_id}
+             for at, entry_id in zip(page.times[rows], ids)]
+    for k in _doc_fields(page.channel, only_field):
+        key, column = f"field{k}", page.columns.get(str(k))
+        for item, value in zip(feeds, repeat(None) if column is None else column[rows]):
+            item[key] = value
     return {"channel": channel_doc(page.channel, only_field), "feeds": feeds}
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Replies are two sends; see the module docstring for why this is set.
+    # Long replies are two writes; see the module docstring for why this is set.
     disable_nagle_algorithm = True
     timeout = _IDLE_TIMEOUT_S
 
@@ -246,15 +263,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, body: str, content_type: str) -> None:
         """Send the head that send_response, send_header and end_headers
-        would, then the body, as two writes."""
+        would, and the body: in one write if the body is shorter than
+        _ONE_WRITE_MAX bytes, else in two."""
         data = body.encode("utf-8")
         self.log_request(status)
-        self.wfile.write(
-            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}\r\n"
-            f"Content-Type: {content_type}; charset=utf-8\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n".encode("latin-1"))
-        self.wfile.write(data)
+        head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}; charset=utf-8\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n").encode("latin-1")
+        if len(data) < _ONE_WRITE_MAX:
+            self.wfile.write(head + data)
+        else:
+            self.wfile.write(head)
+            self.wfile.write(data)
 
     def _text(self, status: int, body: str) -> None:
         self._reply(status, body, "text/plain")

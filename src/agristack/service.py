@@ -7,12 +7,17 @@ log per channel) before they are acknowledged. Reads return entries in
 ascending entry order. Field values are kept as the decimal strings the
 writer sent, so reads reproduce them byte for byte.
 
-`close` also writes each channel's rows to a snapshot, channel_N.snap, that
-names the length and crc32 of the log prefix it was built from. A start loads
-a snapshot only if that prefix still matches the log and every row passes
-the checks a replay makes, and then replays only the records after it; in
-any other case it replays the whole log. The log stays the only source of
-truth: deleting a snapshot loses nothing.
+A channel keeps its entries by column (see _ChannelState): the created_at
+texts, and one list per field index written so far. Reads slice them, and
+recovery turns the records it decodes into them.
+
+`close` also writes each channel's columns to a snapshot, channel_N.snap,
+that names the length and crc32 of the log prefix it was built from. A start
+loads a snapshot only if that prefix still matches the log and every column
+passes the checks a replay makes, and then replays only the records after it;
+in any other case, a snapshot of an older format among them, it replays the
+whole log. The log stays the only source of truth: deleting a snapshot loses
+nothing.
 
 A write's values are checked in one pass (`_field_object`), which also builds
 the text of the entry's "f" object that its log record is made from. Each
@@ -35,7 +40,7 @@ import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
@@ -151,18 +156,19 @@ class Channel:
 
 
 class _FeedEntries:
-    """Entries `ids` of a channel, from its rows (see _ChannelState), each
-    built as a FeedEntry when it is indexed; `len` builds none.
+    """Entries `ids` of a channel, from its columns (see _ChannelState), each
+    built as a FeedEntry when it is indexed; `len` builds none. An entry's
+    `fields` hold only the values it has.
 
     Only the benchmark reads it: `bench/common.verify_reopened` indexes and
     iterates it, and `bench/spans.py` sizes read spans by its `len`.
     """
 
-    __slots__ = ("_times", "_fields", "_ids")
+    __slots__ = ("_times", "_columns", "_ids")
 
-    def __init__(self, times: list[str], fields: list[dict[str, str]], ids: range):
+    def __init__(self, times: list[str], columns: dict[str, list[str | None]], ids: range):
         self._times = times
-        self._fields = fields
+        self._columns = columns
         self._ids = ids
 
     def __len__(self) -> int:
@@ -170,34 +176,43 @@ class _FeedEntries:
 
     def __getitem__(self, index: int) -> FeedEntry:
         entry_id = self._ids[index]  # IndexError past either end
-        return FeedEntry(entry_id, datetime.fromisoformat(self._times[entry_id - 1]),
-                         {int(k): v for k, v in self._fields[entry_id - 1].items()})
+        row = entry_id - 1
+        return FeedEntry(entry_id, datetime.fromisoformat(self._times[row]),
+                         {int(name): value for name, column in self._columns.items()
+                          if (value := column[row]) is not None})
 
 
 class FeedPage(NamedTuple):
     """One read: the channel, and the ids of the entries it returns, found
-    under the channel's lock. `times` and `fields` are the channel's rows
-    (see _ChannelState), which only grow, so later writes leave the page as
-    it was."""
+    under the channel's lock. `times` and the lists in `columns` are the
+    channel's own (see _ChannelState), which only grow, so later writes leave
+    the page as it was; `columns` is a copy of the channel's dict, taken under
+    the lock, so a column made later is not in it."""
 
     channel: Channel
     ids: range
     times: list[str]
-    fields: list[dict[str, str]]
+    columns: dict[str, list[str | None]]
 
     @property
     def entries(self) -> _FeedEntries:
-        return _FeedEntries(self.times, self.fields, self.ids)
+        return _FeedEntries(self.times, self.columns, self.ids)
 
 
 @dataclass
 class _ChannelState:
-    """A channel's entries as its log holds them: entry N's created_at text
-    is times[N-1] and its "f" object, field index to value, fields[N-1]."""
+    """A channel's entries by column: entry N's created_at text is times[N-1],
+    and its value of the field named `name` ("1" to "8", as in a log entry's
+    "f" object) is columns[name][N-1], None where the entry has none.
+
+    A column is made when its field is first written, padded with None for
+    the entries before it; every column is as long as `times`, and `columns`
+    keeps them in index order.
+    """
 
     meta: Channel
     times: list[str] = field(default_factory=list)
-    fields: list[dict[str, str]] = field(default_factory=list)
+    columns: dict[str, list[str | None]] = field(default_factory=dict)
     log: RecordLog | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_accept: datetime | None = None
@@ -332,8 +347,12 @@ class ChannelService:
             entry_id = len(state.times) + 1
             if state.log is not None:
                 state.log.append(_encode_entry(entry_id, at, fields_json))
+            columns = state.columns
+            if not fields.keys() <= columns.keys():
+                _add_columns(columns, fields, entry_id - 1)
+            for name, column in columns.items():
+                column.append(fields.get(name))
             state.times.append(at)
-            state.fields.append(fields)
             if now is not None:
                 state.last_accept = now
             return entry_id
@@ -363,7 +382,8 @@ class ChannelService:
                 lo = (bisect_right if start.microsecond else bisect_left)(times, lo_text)
             hi = len(times) if hi_text is None else bisect_right(times, hi_text)
             lo = max(lo, hi - n)
-        return FeedPage(state.meta, range(lo + 1, hi + 1), times, state.fields)
+            columns = state.columns.copy()
+        return FeedPage(state.meta, range(lo + 1, hi + 1), times, columns)
 
     # -- persistence --------------------------------------------------------
 
@@ -403,17 +423,15 @@ class ChannelService:
             fields = {int(k): v for k, v in item["fields"].items()}
             meta = Channel(**{**item, "fields": fields})
             log = self._open_log(meta.id)
-            start, crc, times, fields = (_load_snapshot(self._snapshot_path(meta.id), log)
-                                         or (0, 0, [], []))
+            start, crc, times, columns = (_load_snapshot(self._snapshot_path(meta.id), log)
+                                          or (0, 0, [], {}))
             try:
-                tail_times, tail_fields = _decode_entries(log.replay(start, crc),
-                                                          first_id=len(times) + 1)
-                times += tail_times
-                fields += tail_fields
+                _extend_rows(times, columns, *_decode_entries(log.replay(start, crc),
+                                                              first_id=len(times) + 1))
                 _check_order(times)
             except CorruptStateError as exc:
                 raise CorruptStateError(f"channel {meta.id}: {exc}") from None
-            state = _ChannelState(meta=meta, times=times, fields=fields, log=log,
+            state = _ChannelState(meta=meta, times=times, columns=columns, log=log,
                                   snap_end=start)
             self._channels[meta.id] = state
             self._by_write_key[meta.write_key] = meta.id
@@ -435,7 +453,7 @@ class ChannelService:
                     continue
                 try:
                     _write_snapshot(self._snapshot_path(state.meta.id), *covered,
-                                    state.times, state.fields, self.fsync)
+                                    state.times, state.columns, self.fsync)
                 except OSError as exc:
                     logger.warning("channel %d: snapshot not written: %r", state.meta.id, exc)
                     continue
@@ -467,8 +485,8 @@ def _encode_entry(entry_id: int, at: str, fields_json: str) -> bytes:
 
 
 def _decode_entries(records: list[bytes], first_id: int = 1
-                    ) -> tuple[list[str], list[dict[str, str]]]:
-    """The created_at texts and "f" objects of the entries a channel log's
+                    ) -> tuple[list[str], dict[str, list[str | None]]]:
+    """The created_at texts and field columns of the entries a channel log's
     records hold, in order, as _ChannelState keeps them; the first record
     holds entry `first_id`.
 
@@ -479,20 +497,53 @@ def _decode_entries(records: list[bytes], first_id: int = 1
     could not be served: feed bodies render each one as a string.
 
     Each chunk of records is decoded at once (_decode_chunk). A chunk that
-    cannot be is decoded record by record, which finds the culprit.
+    cannot be is decoded record by record, which finds the culprit, and its
+    "f" objects are then turned into columns.
     """
     times: list[str] = []
-    fields: list[dict[str, str]] = []
+    columns: dict[str, list[str | None]] = {}
     for first in range(0, len(records), _DECODE_CHUNK):
         chunk = records[first:first + _DECODE_CHUNK]
         rows = _decode_chunk(chunk, first_id + first)
         if rows is None:
-            rows = zip(*[_decode_record(raw, position)
-                         for position, raw in enumerate(chunk, start=first_id + first)])
-        chunk_times, chunk_fields = rows
-        times += chunk_times
-        fields += chunk_fields
-    return times, fields
+            chunk_times, chunk_fields = zip(*[
+                _decode_record(raw, position)
+                for position, raw in enumerate(chunk, start=first_id + first)])
+            rows = chunk_times, _columns_of(chunk_fields)
+        _extend_rows(times, columns, *rows)
+    return times, columns
+
+
+def _columns_of(fields) -> dict[str, list[str | None]]:
+    """The "f" objects `fields` as columns, sorted by name: for each name any
+    of them has, its value in each of them, or None. Raises TypeError for
+    an "f" that is not an object."""
+    # field names "1".."8" sort as their indices
+    return {name: list(map(dict.get, fields, repeat(name)))
+            for name in sorted(set().union(*fields))}
+
+
+def _add_columns(columns: dict[str, list[str | None]], names, rows: int) -> None:
+    """Give `columns`, each `rows` long, a column of `rows` Nones for each of
+    `names` it lacks, and keep them in index order. Changes the dict in
+    place, so only under the channel's lock, or before the channel exists."""
+    added = {name: [None] * rows for name in names if name not in columns}
+    if added:
+        merged = sorted({**columns, **added}.items())
+        columns.clear()
+        columns.update(merged)
+
+
+def _extend_rows(times: list[str], columns: dict[str, list[str | None]],
+                 more_times, more_columns: dict[str, list[str | None]]) -> None:
+    """Append the rows `more_times` and `more_columns` to `times` and
+    `columns`, both as _ChannelState keeps them: a column that only one side
+    has is padded with None on the other."""
+    _add_columns(columns, more_columns, len(times))
+    for name, column in columns.items():
+        more = more_columns.get(name)
+        column += [None] * len(more_times) if more is None else more
+    times += more_times
 
 
 def _check_order(times: list[str]) -> None:
@@ -505,25 +556,28 @@ def _check_order(times: list[str]) -> None:
                                 f" entry {back}'s {times[back - 1]}")
 
 
-_SNAP_MAGIC = b"agristack-snapshot-1"
+_SNAP_MAGIC = b"agristack-snapshot-2"
+_VALUE_TYPES = frozenset({str, type(None)})
 
 
 def _write_snapshot(path: Path, length: int, crc: int, times: list[str],
-                    fields: list[dict[str, str]], fsync: bool) -> None:
-    """Write the rows `times` and `fields` to `path` as a snapshot of the log
-    whose first `length` bytes have crc32 `crc`.
+                    columns: dict[str, list[str | None]], fsync: bool) -> None:
+    """Write the columns `times` and `columns` to `path` as a snapshot of the
+    log whose first `length` bytes have crc32 `crc`.
 
     The file is a header line (magic, length, crc, entry count); then, for
     each _DECODE_CHUNK entries, a line of their created_at texts separated by
-    spaces and a line of their "f" objects as one JSON array; then the crc32
-    of all the lines before it, in hex. It is written under a temporary name
-    and renamed over `path`; with `fsync`, the file and then the rename are
-    made durable.
+    spaces and a line of one JSON object that maps each field name to the
+    chunk's slice of that column; then the crc32 of all the lines before it,
+    in hex. It is written under a temporary name and renamed over `path`;
+    with `fsync`, the file and then the rename are made durable.
     """
     tmp = path.with_name(path.name + ".tmp")
     header = b"%s %d %d %d\n" % (_SNAP_MAGIC, length, crc, len(times))
-    chunks = (f'{" ".join(times[i:i + _DECODE_CHUNK])}\n'
-              f'{json.dumps(fields[i:i + _DECODE_CHUNK], separators=(",", ":"))}\n'.encode()
+    chunks = ((" ".join(times[i:i + _DECODE_CHUNK]) + "\n"
+               + json.dumps({name: column[i:i + _DECODE_CHUNK]
+                             for name, column in columns.items()}, separators=(",", ":"))
+               + "\n").encode()
               for i in range(0, len(times), _DECODE_CHUNK))
     try:
         with open(tmp, "wb") as fh:
@@ -544,11 +598,11 @@ def _write_snapshot(path: Path, length: int, crc: int, times: list[str],
 
 
 def _load_snapshot(path: Path, log: RecordLog
-                   ) -> tuple[int, int, list[str], list[dict[str, str]]] | None:
-    """(length, crc, times, fields) from the snapshot at `path` (see
+                   ) -> tuple[int, int, list[str], dict[str, list[str | None]]] | None:
+    """(length, crc, times, columns) from the snapshot at `path` (see
     _write_snapshot), if the log's first `length` bytes still have crc32
-    `crc`, the file's own crc32 holds, and its rows pass every check a
-    replay makes (_valid_rows, _check_order); else None."""
+    `crc`, the file's own crc32 holds, and its columns pass every check a
+    replay makes (_valid_times, _valid_columns, _check_order); else None."""
     try:
         with open(path, "rb") as fh:
             header = fh.readline()
@@ -558,17 +612,16 @@ def _load_snapshot(path: Path, log: RecordLog
                 return None
             body_crc = zlib.crc32(header)
             times: list[str] = []
-            fields: list[dict[str, str]] = []
+            columns: dict[str, list[str | None]] = {}
             while len(times) < count:
-                times_line, fields_line = fh.readline(), fh.readline()
-                body_crc = zlib.crc32(fields_line, zlib.crc32(times_line, body_crc))
+                times_line, columns_line = fh.readline(), fh.readline()
+                body_crc = zlib.crc32(columns_line, zlib.crc32(times_line, body_crc))
                 chunk_times = times_line.decode("ascii")[:-1].split(" ")
-                chunk_fields = json.loads(fields_line)
-                if not (0 < len(chunk_times) == len(chunk_fields) <= _DECODE_CHUNK
-                        and _valid_rows(chunk_times, chunk_fields)):
+                chunk_columns = json.loads(columns_line)
+                if not (0 < len(chunk_times) <= _DECODE_CHUNK and _valid_times(chunk_times)
+                        and _valid_columns(chunk_columns, len(chunk_times))):
                     return None
-                times += chunk_times
-                fields += chunk_fields
+                _extend_rows(times, columns, chunk_times, chunk_columns)
             if len(times) != count or fh.read() != b"%08x\n" % body_crc:
                 return None
             _check_order(times)
@@ -576,20 +629,31 @@ def _load_snapshot(path: Path, log: RecordLog
         return None
     except (ValueError, TypeError, RecursionError, CorruptStateError):
         return None     # incl. JSON and UTF-8 errors
-    return length, crc, times, fields
+    return length, crc, times, columns
+
+
+def _valid_columns(columns, rows: int) -> bool:
+    """Whether `columns`, a snapshot chunk's parsed JSON, maps field names to
+    columns of `rows` values that an entry could hold: each a string, or
+    None where the entry has no value."""
+    return (type(columns) is dict and _NAME_SET.issuperset(columns)
+            and all(type(column) is list and len(column) == rows
+                    and _VALUE_TYPES.issuperset(map(type, column))
+                    for column in columns.values()))
 
 
 def _decode_chunk(chunk: list[bytes], first_id: int
-                  ) -> tuple[list[str], list[dict[str, str]]] | None:
-    """The rows of entries `first_id`… held by `chunk`, if every record in it
-    is one entry, checked as _decode_entries says; else None.
+                  ) -> tuple[list[str], dict[str, list[str | None]]] | None:
+    """The created_at texts and field columns of entries `first_id`… held by
+    `chunk`, if every record in it is one entry, checked as _decode_entries
+    says; else None.
 
     The chunk is parsed as one JSON array, the records joined by a comma and
     a newline. Its items are the records only if each of those separators is
     a top-level one: a raw newline cannot stand in a JSON string, no object
     goes on with a separator and a `{`, and a chunk with no `[` of its own
-    holds no nested array. The items are then checked together
-    (_valid_rows).
+    holds no nested array. The items are then checked together, their "f"
+    objects' names once they are columns.
     """
     joined = b"[" + b",\n".join(chunk) + b"]"
     # the separators are the only newlines, and each is followed by a `{`
@@ -601,31 +665,27 @@ def _decode_chunk(chunk: list[bytes], first_id: int
         ids = list(map(_ID, docs))  # TypeError for an item that is not an object
         times = list(map(_AT, docs))
         fields = list(map(_F, docs))
+        # TypeError for an "f" that is not an object, or a value not a string
+        "".join(chain.from_iterable(map(dict.values, fields)))
+        columns = _columns_of(fields)
     except (ValueError, LookupError, TypeError):  # incl. JSON and UTF-8 errors
         return None
     if (len(docs) != len(chunk) or ids != list(range(first_id, first_id + len(docs)))
-            or not _valid_rows(times, fields)):
+            or not _valid_times(times) or not _NAME_SET.issuperset(columns)):
         return None
-    return times, fields
+    return times, columns
 
 
-def _valid_rows(times: list, fields: list) -> bool:
-    """Whether `times` and `fields` are rows an entry could hold, as
-    _decode_entries says: each time a text parse_timestamp accepts, and each
-    "f" an object whose names are field indices and whose values are
-    strings."""
+def _valid_times(times: list) -> bool:
+    """Whether each of `times` is a created_at text parse_timestamp accepts."""
     try:
-        # TypeError for an "f" that is not an object, or a value not a string
-        "".join(chain.from_iterable(map(dict.values, fields)))
         text = "\n".join(times) + "\n"  # TypeError for a time not a string
         # the newlines the join put in are the only ones, so each time is one
         # match of the pattern; fromisoformat then checks the ranges
-        if (text.count("\n") != len(times) or not _TIMES_RE.fullmatch(text)
-                or not all(map(datetime.fromisoformat, times))):
-            return False
+        return (text.count("\n") == len(times) and _TIMES_RE.fullmatch(text) is not None
+                and all(map(datetime.fromisoformat, times)))
     except (ValueError, TypeError):
         return False
-    return _NAME_SET.issuperset(chain.from_iterable(fields))
 
 
 def _decode_record(raw: bytes, position: int) -> tuple[str, dict[str, str]]:

@@ -427,7 +427,7 @@ def test_serve_closes_on_sigterm_and_leaves_a_snapshot_the_next_start_loads(
     service = ChannelService(data_dir=tmp_path, fsync=False)
     try:
         page = service.read_feeds(1)
-        assert [page.fields[i - 1]["1"] for i in page.ids] == [f"{i}.5" for i in range(5)]
+        assert [page.columns["1"][i - 1] for i in page.ids] == [f"{i}.5" for i in range(5)]
         assert replayed == [[]]             # every entry came from the snapshot
     finally:
         service.close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import os
+import resource
 import socket
 import subprocess
 import sys
@@ -60,6 +61,28 @@ def test_connection_closed_while_idle_is_reopened(http_server, no_proxy_env):
     time.sleep(0.5)                     # the server drops the idle connection
     assert client.update(VALUES) == 2
     assert [e["entry_id"] for e in client.read_feeds(1)["feeds"]] == [1, 2]
+
+
+def test_keep_alive_socket_numbered_past_select_s_limit(http_server, no_proxy_env):
+    # select() refuses a descriptor numbered 1024 (FD_SETSIZE) or more with
+    # ValueError, which the idle probe once let escape on the second request
+    fillers = 1100
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < fillers + 100:
+        pytest.skip("the soft limit on open files is below what the test opens")
+    no_proxy_env.setattr(httpd._Handler, "timeout", 0.2)
+    fds: list[int] = []
+    try:
+        fds.extend(os.open(os.devnull, os.O_RDONLY) for _ in range(fillers))
+        client = HttpServiceClient(http_server.endpoint, write_key=WRITE_KEY)
+        assert client.update(VALUES) == 1
+        assert client._conn.sock.fileno() >= 1024
+        assert client.update(VALUES) == 2
+        time.sleep(0.5)                 # the server drops the idle connection
+        assert client.update(VALUES) == 3
+        client._conn.close()
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 OK_7 = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n7"

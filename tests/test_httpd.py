@@ -192,8 +192,15 @@ def test_concurrent_http_writers_preserve_gapless_ids(http_server):
     assert sorted(int(x) for x in results) == list(range(1, 101))
 
 
-def test_keepalive_requests_do_not_wait_for_delayed_ack(http_server):
-    # Each reply is two sends; if the second waits on the client's delayed
+def write_long_feed(service: ChannelService, entries: int = 800) -> None:
+    """Write enough entries that a read of them all is a body of more than
+    _ONE_WRITE_MAX bytes, which goes out as two sends."""
+    for i in range(entries):
+        service.update(WRITE_KEY, {1: f"{i}.0", 2: "1013.25", 3: "30.00", 4: "0"})
+
+
+def test_keepalive_requests_do_not_wait_for_delayed_ack(memory_service, http_server):
+    # A long reply is two sends; if the second waits on the client's delayed
     # ACK (Nagle), every request costs ~40 ms and 100 of them ~4 s.
     with HttpSession() as session:
         started = time.perf_counter()
@@ -202,14 +209,39 @@ def test_keepalive_requests_do_not_wait_for_delayed_ack(http_server):
                             params={"api_key": WRITE_KEY, "field1": f"{i}.0"})
             assert (r.status_code, r.text) == (200, str(i + 1))
         writes_s = time.perf_counter() - started
+        write_long_feed(memory_service)
         started = time.perf_counter()
         for _ in range(50):
             r = session.get(f"{http_server.endpoint}/channels/1/feeds.json",
-                            params={"results": 3})
-            assert r.status_code == 200 and len(r.json()["feeds"]) == 3
+                            params={"results": 850})
+            assert r.status_code == 200 and len(r.content) > httpd._ONE_WRITE_MAX
         reads_s = time.perf_counter() - started
     assert writes_s < 1.0, f"50 keep-alive writes took {writes_s:.2f}s"
     assert reads_s < 1.0, f"50 keep-alive reads took {reads_s:.2f}s"
+
+
+def test_a_reply_under_64_kib_is_one_write(memory_service, http_server, monkeypatch):
+    writes: list[int] = []
+    setup = httpd._Handler.setup
+
+    def recording_setup(self):
+        setup(self)
+        write = self.wfile.write
+        self.wfile.write = lambda data: writes.append(len(data)) or write(data)
+
+    monkeypatch.setattr(httpd._Handler, "setup", recording_setup)
+    write_long_feed(memory_service)
+    with HttpSession() as session:
+        small = session.get(f"{http_server.endpoint}/update",
+                            params={"api_key": WRITE_KEY, "field1": "1.0"})
+        long = session.get(f"{http_server.endpoint}/channels/1/feeds.json")
+    assert small.text == "801" and len(long.content) > httpd._ONE_WRITE_MAX
+    # the small reply's head and body, then the long one's head, then its body
+    assert len(writes) == 3 and writes[0] > len(small.content)
+    assert writes[2] == len(long.content)
+    # the Date text made once a second is the one the stdlib makes each time
+    for t in (0, 1734256800.75, time.time()):
+        assert httpd._http_date(int(t)) == BaseHTTPRequestHandler.date_time_string(None, t)
 
 
 def test_stop_returns_without_waiting_out_the_stdlib_poll(memory_service):
@@ -274,7 +306,7 @@ def test_update_that_cannot_be_stored_is_503_on_an_open_connection(tmp_path, clo
     revived = ChannelService(data_dir=tmp_path, fsync=False)
     try:
         page = revived.read_feeds(1)
-        assert [page.fields[i - 1] for i in page.ids] == [{"1": "1.0"}, {"1": "3.0"}]
+        assert [e.fields for e in page.entries] == [{1: "1.0"}, {1: "3.0"}]
     finally:
         revived.close()
 

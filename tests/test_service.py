@@ -22,7 +22,7 @@ from agristack import service as service_module
 from agristack.httpd import feed_doc, feeds_body
 from agristack.service import (MAX_FIELDS, MAX_RESULTS, AuthError, BadRequestError,
                                Channel, ChannelService, CorruptStateError,
-                               FeedEntry, UnknownChannelError, _check_order,
+                               FeedEntry, FeedPage, UnknownChannelError, _check_order,
                                _decode_entries, _encode_entry, format_timestamp,
                                parse_timestamp)
 from agristack.storelog import RecordLog
@@ -38,8 +38,11 @@ def feeds(page) -> list[dict]:
 
 
 def rows(page) -> list[tuple[int, str, dict[str, str]]]:
-    """Each entry of `page`: its id, created_at text and "f" object."""
-    return [(i, page.times[i - 1], page.fields[i - 1]) for i in page.ids]
+    """Each entry of `page`: its id, created_at text and "f" object, the
+    values it has by field name."""
+    return [(i, page.times[i - 1], {name: column[i - 1] for name, column in page.columns.items()
+                                    if column[i - 1] is not None})
+            for i in page.ids]
 
 
 def rows_of(entries) -> list[tuple[int, str, dict[str, str]]]:
@@ -834,6 +837,16 @@ def outcome(write):
         return BadRequestError, str(exc)
 
 
+@pytest.fixture(scope="module")
+def logged_service(tmp_path_factory):
+    """One data-dir service, without fsync, with channel 1, shared by the
+    examples of a property test."""
+    service = ChannelService(data_dir=tmp_path_factory.mktemp("logged"), fsync=False)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    yield service
+    service.close()
+
+
 @settings(max_examples=400, deadline=None)
 @given(values=field_mappings, warm=st.booleans())
 @example(values={1: "1", "1": "2.5", True: "3"}, warm=False)
@@ -842,16 +855,21 @@ def outcome(write):
 @example(values={" 1": "+.5e-3", 2: "5.", 3: 1e300}, warm=False)
 @example(values={0: "1", 9: "1"}, warm=False)
 @example(values={2.5: "1.0", 2.0: "2", True: "3"}, warm=True)
-def test_update_refuses_or_logs_as_the_reference(values, warm):
+def test_update_refuses_or_logs_as_the_reference(logged_service, values, warm):
     # warm: the second write finds the texts the first one accepted
     want = outcome(lambda: reference_record(1, "2024-12-15T10:00:00Z", values))
-    with tempfile.TemporaryDirectory() as data_dir:
-        service = ChannelService(data_dir=data_dir, fsync=False)
-        service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
-        got = [outcome(lambda: service.update(WRITE_KEY, values, created_at=BASE))
-               for _ in range(1 + warm)]
-        service.close()
-        logged = RecordLog(f"{data_dir}/channel_1.log", fsync=False).replay()
+    service = logged_service
+    service._accepted.clear()   # so that the first write is a cold one
+    # channel 1 afresh, on an empty log: creating a channel per example would
+    # rewrite a registry that grows with each one
+    previous = service._state(1)
+    previous.log.close()
+    previous.log.path.unlink(missing_ok=True)   # made by the first append
+    service._channels[1] = service_module._ChannelState(meta=previous.meta,
+                                                        log=service._open_log(1))
+    got = [outcome(lambda: service.update(WRITE_KEY, values, created_at=BASE))
+           for _ in range(1 + warm)]
+    logged = RecordLog(previous.log.path, fsync=False).replay()
     if isinstance(want, tuple):
         assert got == [want] * (1 + warm)
         assert logged == []
@@ -909,7 +927,7 @@ def test_writer_threads_share_the_accepted_set_without_a_lock(clock, monkeypatch
     assert max(sizes) <= 8 + len(threads)
     page = service.read_feeds(1)
     assert len(page.ids) == 1200
-    assert all(f["2"] != "nan" for f in page.fields)
+    assert "nan" not in page.columns["2"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -931,11 +949,13 @@ def test_format_timestamp_matches_the_astimezone_formula(ts):
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @settings(max_examples=5, deadline=None)
-@given(rows=st.lists(entries_with(st.integers(1, MAX_FIELDS)), min_size=1, max_size=4))
-def test_decode_entries_matches_the_per_record_reference(n, rows):
-    records = [record(replace(rows[i % len(rows)], entry_id=i + 1)) for i in range(n)]
-    times, fields = _decode_entries(records)
-    decoded = [(i, at, f) for i, (at, f) in enumerate(zip(times, fields), start=1)]
+@given(entries=st.lists(entries_with(st.integers(1, MAX_FIELDS)), min_size=1, max_size=4))
+def test_decode_entries_matches_the_per_record_reference(n, entries):
+    records = [record(replace(entries[i % len(entries)], entry_id=i + 1)) for i in range(n)]
+    times, columns = _decode_entries(records)
+    assert list(columns) == sorted(columns)
+    assert all(len(column) == n for column in columns.values())
+    decoded = rows(FeedPage(None, range(1, n + 1), times, columns))
     assert decoded == rows_of(reference_decode_entry(r) for r in records)
 
 

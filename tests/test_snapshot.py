@@ -22,12 +22,14 @@ from hypothesis import strategies as st
 
 from agristack import service as service_module
 from agristack import storelog
+from agristack.httpd import feeds_body
 from agristack.service import (MAX_RESULTS, ChannelService, CorruptStateError,
                                _encode_entry, _field_object, _write_snapshot,
                                format_timestamp)
 from agristack.storelog import CorruptLogError, RecordLog
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 from tests.test_service import InjectedFaults
+from tests.test_service import rows as page_rows
 
 BASE = datetime(2024, 12, 15, 10, tzinfo=timezone.utc)
 CHUNK = service_module._DECODE_CHUNK
@@ -71,7 +73,14 @@ def drop(service: ChannelService) -> None:
 
 def rows(service: ChannelService, channel_id: int = 1) -> list[tuple]:
     page = service.read_feeds(channel_id, results=MAX_RESULTS)
-    return [(i, page.times[i - 1], page.fields[i - 1]) for i in page.ids]
+    return page_rows(page)
+
+
+def columns_of(rows: list[tuple]) -> tuple[list[str], dict[str, list]]:
+    """`rows` as a channel keeps them: created_at texts, and a column of
+    values or None for each field name any row has, in index order."""
+    names = sorted({name for _, _, f in rows for name in f})
+    return [t for _, t, _ in rows], {name: [f.get(name) for _, _, f in rows] for name in names}
 
 
 def recovered(data_dir: Path):
@@ -207,29 +216,33 @@ def test_deleting_the_snapshot_loses_nothing(tmp_path):
 
 # -- hand-built snapshots whose crcs hold ------------------------------------
 
-# Each spoils the rows of entries 1..CHUNK + 10 in a way a replay refuses.
+# Each spoils the columns of entries 1..CHUNK + 10 in a way a replay refuses.
 
-def _rows_back_in_time(times, fields):
+def _rows_back_in_time(times, columns):
     times[5], times[6] = times[6], times[5]
 
 
-def _rows_value_not_a_string(times, fields):
-    fields[CHUNK + 2]["1"] = 2.5
+def _rows_value_not_a_string(times, columns):
+    columns["1"][CHUNK + 2] = 2.5
 
 
-def _rows_field_index_9(times, fields):
-    fields[3]["9"] = fields[3].pop("1")
+def _rows_field_index_9(times, columns):
+    columns["9"] = [None] * len(times)
+    columns["9"][3], columns["1"][3] = columns["1"][3], None
+
+
+def _column_shorter_than_its_chunk(times, columns):
+    del columns["3"][-1]
 
 
 @pytest.mark.parametrize("spoil", [_rows_back_in_time, _rows_value_not_a_string,
-                                   _rows_field_index_9])
+                                   _rows_field_index_9, _column_shorter_than_its_chunk])
 def test_a_snapshot_whose_rows_a_replay_refuses_is_not_used(tmp_path, spoil):
     service, expected = new_service(tmp_path, CHUNK + 10)
     service.close()
-    times = [t for _, t, _ in expected]
-    fields = [dict(f) for _, _, f in expected]
-    spoil(times, fields)
-    _write_snapshot(tmp_path / SNAP, *log_prefix(tmp_path), times, fields, fsync=False)
+    times, columns = columns_of(expected)
+    spoil(times, columns)
+    _write_snapshot(tmp_path / SNAP, *log_prefix(tmp_path), times, columns, fsync=False)
     assert same_as_full_replay(tmp_path) == {1: expected}
 
 
@@ -237,16 +250,69 @@ def test_a_snapshot_whose_rows_a_replay_refuses_is_not_used(tmp_path, spoil):
                                    _rows_field_index_9])
 def test_a_log_with_rows_a_replay_refuses_raises_with_a_snapshot_of_them(tmp_path, spoil):
     new_service(tmp_path)[0].close()
-    times = [row(i)[1] for i in range(1, CHUNK + 11)]
-    fields = [row(i)[2] for i in range(1, CHUNK + 11)]
-    spoil(times, fields)
+    times, columns = columns_of([row(i) for i in range(1, CHUNK + 11)])
+    spoil(times, columns)
     log = RecordLog(tmp_path / LOG, fsync=False)
-    for i, (at, f) in enumerate(zip(times, fields), start=1):
+    for i, at in enumerate(times, start=1):
+        f = {name: column[i - 1] for name, column in columns.items()
+             if column[i - 1] is not None}
         log.append(json.dumps({"id": i, "at": at, "f": f}, separators=(",", ":")).encode())
     log.close()
-    _write_snapshot(tmp_path / SNAP, *log_prefix(tmp_path), times, fields, fsync=False)
+    _write_snapshot(tmp_path / SNAP, *log_prefix(tmp_path), times, columns, fsync=False)
     kind, text = same_as_full_replay(tmp_path)
     assert kind is CorruptStateError and text.startswith("channel 1: entry ")
+
+
+# -- columns ------------------------------------------------------------------
+
+
+def test_a_column_first_written_after_a_chunk_boundary_round_trips(tmp_path, replayed):
+    # field 2 is first written in the snapshot's second chunk, so its column
+    # starts with CHUNK + 3 Nones; field 7 is not one the channel declares
+    service, expected = new_service(tmp_path, CHUNK + 3)
+    for i, values in enumerate([{2: "1.25", 1: "4.5"}, {7: "-3"}, {1: "0.5", 7: "8"}],
+                               start=CHUNK + 4):
+        at = entry_at(i)[0]
+        assert service.update(WRITE_KEY, values, at) == i
+        expected.append((i, format_timestamp(at), {str(k): v for k, v in values.items()}))
+    expected += write(service, CHUNK + 7, 2)
+    bodies = [feeds_body(service.read_feeds(1), only_field, {}) for only_field in (None, 2)]
+    service.close()
+    page = ChannelService(data_dir=tmp_path, fsync=False).read_feeds(1)
+    assert replayed == [0]
+    assert list(page.columns) == ["1", "2", "3", "7"]
+    assert page.columns["2"][:CHUNK + 3] == [None] * (CHUNK + 3)
+    assert [feeds_body(page, only_field, {}) for only_field in (None, 2)] == bodies
+    assert same_as_full_replay(tmp_path) == {1: expected}
+
+
+def write_format_1_snapshot(path: Path, length: int, crc: int, entries: list[tuple]) -> None:
+    """A snapshot of `entries`, (id, created_at text, "f" object) each, in
+    the first format: each chunk's "f" objects as one JSON array."""
+    lines = [b"agristack-snapshot-1 %d %d %d\n" % (length, crc, len(entries))]
+    for i in range(0, len(entries), CHUNK):
+        chunk = entries[i:i + CHUNK]
+        lines.append(" ".join(t for _, t, _ in chunk).encode() + b"\n")
+        lines.append(json.dumps([f for _, _, f in chunk], separators=(",", ":")).encode()
+                     + b"\n")
+    body = b"".join(lines)
+    path.write_bytes(body + b"%08x\n" % zlib.crc32(body))
+
+
+def test_a_format_1_snapshot_is_replaced_after_a_full_replay(tmp_path, replayed):
+    service, expected = new_service(tmp_path, CHUNK + 5)
+    drop(service)
+    write_format_1_snapshot(tmp_path / SNAP, *log_prefix(tmp_path), expected)
+    replayed.clear()
+    revived = ChannelService(data_dir=tmp_path, fsync=False)
+    assert replayed == [CHUNK + 5]
+    assert rows(revived) == expected
+    revived.close()
+    assert (tmp_path / SNAP).read_bytes().startswith(b"agristack-snapshot-2 ")
+    again = ChannelService(data_dir=tmp_path, fsync=False)
+    assert replayed[1:] == [0]
+    assert rows(again) == expected
+    drop(again)
 
 
 # -- every refusal of a bad log holds with a snapshot present -----------------
