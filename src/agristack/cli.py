@@ -19,7 +19,7 @@ from .client import (HttpServiceClient, LocalServiceClient, RateLimited,
                      ServiceUnavailable)
 from .envsim import ScenarioError, resolve_scenario
 from .gateway import fields_to_reading
-from .service import (AuthError, BadRequestError, ChannelService,
+from .service import (MAX_RESULTS, AuthError, BadRequestError, ChannelService,
                       CorruptStateError, UnknownChannelError, format_timestamp,
                       parse_timestamp)
 from .storelog import CorruptLogError
@@ -189,7 +189,7 @@ def run(endpoint, channel, scenario, speed, write_key, data_dir, duty_cycle, epo
                    f"{report.acknowledged} acknowledged, {report.queued} queued, "
                    f"{report.drops} dropped, {report.skipped} skipped")
         try:
-            feeds = client.read_feeds(channel, results=8000)["feeds"]
+            feeds = client.read_feeds(channel, results=MAX_RESULTS)["feeds"]
         except ServiceUnavailable:
             feeds = []
         if feeds:
@@ -338,7 +338,7 @@ def watch_alerts(endpoint, channel, rules, poll, max_polls):
 
     for poll_index in count():
         try:
-            doc = client.read_feeds(channel, results=8000)
+            doc = client.read_feeds(channel, results=MAX_RESULTS)
         except ServiceUnavailable as exc:
             if max_polls is not None:
                 raise

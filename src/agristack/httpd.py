@@ -15,9 +15,12 @@ Endpoints (all GET, plain text or JSON bodies as noted):
   /channels/{id}/fields/{n}.json?results=N
       Same shape restricted to one field.
 
-Each ChannelHttpServer keeps a memo per channel of the entry texts that
-full-channel feed bodies are joined from. Once a memo holds more than
-2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of them.
+A feed body is `feed_doc` of the page read, encoded by the stdlib's JSON
+encoder, which alone decides what a value's text needs escaped. Each
+ChannelHttpServer keeps a memo per channel of per-entry texts, each feed item
+encoded once, that full-channel bodies are joined from. Once a memo holds
+more than 2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of
+them.
 
 Requests are read without the email package, which the stdlib's header parser
 goes through and which cost more server CPU than `ChannelService.update`.
@@ -49,7 +52,6 @@ import logging
 import re
 import threading
 import time
-from collections.abc import Iterable, Sequence
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
@@ -64,6 +66,10 @@ log = logging.getLogger(__name__)
 
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _FIELD_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)\.json$")
+
+# every feed body's JSON encoder; json.dumps with these separators would make
+# a new encoder on each call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 # serve_forever checks for shutdown this often, so stop() returns within about
 # this long; the stdlib default of 0.5 s would make every stop() that slow.
@@ -131,60 +137,41 @@ def channel_doc(channel: svc.Channel, only_field: int | None = None) -> dict:
     return doc
 
 
-def render_entry(entry_id: int, created_at: str,
-                 columns: Sequence[list[str | None] | None], names: Iterable[str]) -> str:
-    """Entry `entry_id`, created at `created_at` (format_timestamp's text),
-    as the compact JSON object a feed body lists: fields `names` in the given
-    order, each with its value in the column at the same place in `columns`
-    (row entry_id - 1), null where that value is None or the column is None.
-
-    Byte-identical to `json.dumps` of the same dict with separators (",", ":"):
-    the timestamp and the names hold no character JSON escapes, and each
-    value goes through `svc.json_string`.
-    """
-    row = entry_id - 1
-    parts = [f'{{"created_at":"{created_at}","entry_id":{entry_id}']
-    for name, column in zip(names, columns):
-        value = None if column is None else column[row]
-        if value is None:
-            parts.append(f',"field{name}":null')
-        else:
-            parts.append(f',"field{name}":{svc.json_string(value)}')
-    parts.append("}")
-    return "".join(parts)
-
-
 def feeds_body(page: svc.FeedPage, only_field: int | None,
                memo: dict[int, str]) -> str:
-    """The feed body of `page`; a full-channel one reads and fills `memo`,
-    the entry texts of the page's channel by entry_id."""
-    header = json.dumps(channel_doc(page.channel, only_field), separators=(",", ":"))
-    times = page.times
-    names = [str(k) for k in _doc_fields(page.channel, only_field)]
-    columns = [page.columns.get(name) for name in names]
-    if only_field is None:
-        if len(memo) > 2 * svc.MAX_RESULTS:
-            # copy() is atomic where iterating would race another thread
-            floor = len(times) - svc.MAX_RESULTS
-            for entry_id in memo.copy():
-                if entry_id <= floor:
-                    memo.pop(entry_id, None)
-        # Two threads racing on one entry store equal strings.
-        feeds = []
-        for entry_id in page.ids:
-            text = memo.get(entry_id)
-            if text is None:
-                text = memo[entry_id] = render_entry(
-                    entry_id, times[entry_id - 1], columns, names)
-            feeds.append(text)
-    else:
-        feeds = [render_entry(i, times[i - 1], columns, names) for i in page.ids]
-    return f'{{"channel":{header},"feeds":[{",".join(feeds)}]}}'
+    """The feed body of `page`: `feed_doc(page, only_field)` encoded by the
+    stdlib's JSON encoder with compact separators. A full-channel one is
+    joined from the entry texts in `memo`, the encoded feed items of the
+    page's channel by entry_id; from the first entry the memo lacks on, the
+    page is built as a feed doc and each item the memo lacks is encoded into
+    it."""
+    if only_field is not None:
+        return _encode(feed_doc(page, only_field))
+    ids = page.ids
+    if len(memo) > 2 * svc.MAX_RESULTS:
+        # copy() is atomic where iterating would race another thread
+        floor = len(page.times) - svc.MAX_RESULTS
+        for entry_id in memo.copy():
+            if entry_id <= floor:
+                memo.pop(entry_id, None)
+    feeds = []
+    for entry_id in ids:
+        text = memo.get(entry_id)
+        if text is None:
+            # Two threads racing on one entry store equal strings.
+            for item in feed_doc(page._replace(ids=range(entry_id, ids.stop)))["feeds"]:
+                text = memo.get(item["entry_id"])
+                if text is None:
+                    text = memo[item["entry_id"]] = _encode(item)
+                feeds.append(text)
+            break
+        feeds.append(text)
+    return f'{{"channel":{_encode(channel_doc(page.channel))},"feeds":[{",".join(feeds)}]}}'
 
 
 def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
-    """The document `json.loads(feeds_body(page, only_field))` returns, built
-    from the page's columns without rendering it, one field at a time.
+    """The document a feed body of `page` encodes (see feeds_body), built
+    from the page's columns one field at a time.
 
     Each call builds fresh dicts; the values are the channel's own strings,
     None where an entry has no value.

@@ -38,7 +38,7 @@ import secrets
 import threading
 import zlib
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import itemgetter
@@ -107,18 +107,6 @@ def parse_timestamp(text: str) -> datetime:
         except ValueError:  # a field out of range, such as month 13
             pass
     raise BadRequestError(f"timestamp {text!r} not in YYYY-MM-DDTHH:MM:SSZ form")
-
-
-def json_string(text: str) -> str:
-    """`text` as a JSON string literal, byte-identical to `json.dumps(text)`.
-
-    A value `update` accepts (NUMBER_RE) holds no character JSON escapes and
-    is quoted as it is; any other, recovered from a log written before that
-    check, goes through `json.dumps`.
-    """
-    if NUMBER_RE.fullmatch(text):
-        return f'"{text}"'
-    return json.dumps(text)
 
 
 def generate_key() -> str:
@@ -401,10 +389,12 @@ class ChannelService:
     def _save_registry(self) -> None:
         if self.data_dir is None:
             return
-        payload = {"channels": [asdict(s.meta) for s in self._channels.values()]}
+        # json.dumps with no indent, as json.dump never uses the C encoder:
+        # each create_channel rewrites the whole registry
+        payload = {"channels": [vars(s.meta) for s in self._channels.values()]}
         tmp = self._registry_path().with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload))
             if self.fsync:
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -8,11 +8,13 @@ import logging
 import re
 import socket
 import sys
+import tempfile
 import threading
 import time
 from datetime import datetime, timedelta, timezone
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -357,6 +359,39 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
         revived.close()
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.integers(1, 3), st.text(), min_size=1),
+                     min_size=1, max_size=4))
+@example(rows=[{1: '"\\', 2: "\ud800", 3: "\U0001f331\x00\x7f\u2028"}])
+def test_recovered_values_of_any_text_render_as_json_dumps(rows):
+    # raw log records, as a log written before update checked values could
+    # hold; read back from the log, then from the snapshot close() writes
+    at = datetime(2024, 12, 15, tzinfo=timezone.utc)
+    entries = [FeedEntry(entry_id, at, values)
+               for entry_id, values in enumerate(rows, start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        service = ChannelService(data_dir=tmp, fsync=False)
+        service.create_channel("c", ["A", "B", "C"], write_key=WRITE_KEY, rate_limit_s=0.0)
+        service.close()
+        log = RecordLog(Path(tmp) / "channel_1.log", fsync=False)
+        for e in entries:
+            log.append(_encode_entry(e.entry_id, format_timestamp(at), json.dumps(
+                {str(k): v for k, v in e.fields.items()}, separators=(",", ":"))))
+        log.close()
+        for _ in range(2):
+            revived = ChannelService(data_dir=tmp, fsync=False)
+            try:
+                memo: dict[int, str] = {}
+                for only_field in (None, None, 1, 2, 3):  # the second full read is memoized
+                    page = revived.read_feeds(1)
+                    body = httpd.feeds_body(page, only_field, memo)
+                    assert body == reference_feeds_body(page.channel, entries, only_field)
+                    assert httpd.feed_doc(page, only_field) == json.loads(body)
+            finally:
+                revived.close()
+        assert (Path(tmp) / "channel_1.snap").exists()
+
+
 decimals = st.one_of(st.integers().map(str),
                      st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.sampled_from(["030.50", ".5", "5.", "+1", "-0", "1E-3"]))
@@ -436,19 +471,20 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, http_server,
                                                   monkeypatch):
     for i in range(50):
         memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
-    rendered = []
-    render_entry = httpd.render_entry
+    encoded = []
+    encode = httpd._encode
 
-    def counting_render(entry_id, created_at, fields, names):
-        rendered.append(entry_id)
-        return render_entry(entry_id, created_at, fields, names)
+    def counting_encode(doc):
+        if "entry_id" in doc:  # a feed item, not a channel header or a body
+            encoded.append(doc["entry_id"])
+        return encode(doc)
 
-    monkeypatch.setattr(httpd, "render_entry", counting_render)
+    monkeypatch.setattr(httpd, "_encode", counting_encode)
     given = memos_given(monkeypatch)
     first = poll(http_server, results=40)
     second = poll(http_server, results=40)
     assert first == second
-    assert rendered == list(range(11, 51))
+    assert encoded == list(range(11, 51))
     assert given[0] is given[1]
     assert sorted(given[0]) == list(range(11, 51))
 
