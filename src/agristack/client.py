@@ -6,12 +6,18 @@ the dicts a feed body parses to, and raise the same errors, so anything built
 on the client behaves identically in either mode.
 
 `HttpServiceClient` reads each reply's head with `httpd.read_head`, under the
-same limits as the server, rather than through the email package.
+same limits as the server, rather than through the email package. It parses
+feed bodies with `httpd.parse_feeds_body` and a memo of its own, so each feed
+item is parsed once however many polls carry it, and each read still returns
+fresh dicts. A 200 reply that is not UTF-8, or not the body asked for, raises
+ServiceUnavailable, as a service that does not answer does. A query whose
+names and values need no quoting is joined by hand.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import select
 import weakref
 from base64 import b64encode
@@ -27,6 +33,9 @@ from .service import (AuthError, BadRequestError, ChannelService,
                       UnknownChannelError, format_timestamp, parse_timestamp)
 
 TIMEOUT_S = 5.0                 # per HTTP request, connect and read
+
+# the texts urlencode leaves as they are
+_PLAIN_RE = re.compile(r"[A-Za-z0-9._-]*")
 
 
 class ServiceUnavailable(Exception):
@@ -60,6 +69,15 @@ def _connection(endpoint: str) -> tuple[HTTPConnection, str, dict[str, str]]:
         return conn, endpoint, headers  # absolute-form targets, to the proxy
     conn.set_tunnel(url.hostname, port, headers=headers)
     return conn, url.path, {}
+
+
+def _query(params: dict) -> str:
+    """`urlencode` of the non-None `params`, joined by hand when no name or
+    value holds a character it would quote."""
+    pairs = [(name, str(value)) for name, value in params.items() if value is not None]
+    if _PLAIN_RE.fullmatch("".join(name + value for name, value in pairs)):
+        return "&".join(f"{name}={value}" for name, value in pairs)
+    return urlencode(pairs)
 
 
 class _Response(HTTPResponse):
@@ -128,12 +146,15 @@ class HttpServiceClient:
         except ValueError as exc:  # includes a port that is not a number in range
             raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
         self._conn.response_class = _Response
+        # the memo httpd.parse_feeds_body parses feed bodies with
+        self._items: dict[str, dict] = {}
         # The socket goes with the client, as a pooled one would with its pool.
         weakref.finalize(self, self._conn.close)
 
     def _get(self, path: str, params: dict) -> tuple[int, str]:
-        """GET `path` with the non-None `params`: (status, body as text)."""
-        query = urlencode({k: v for k, v in params.items() if v is not None})
+        """GET `path` with the non-None `params`: (status, body as text).
+        A body that is not UTF-8 raises ServiceUnavailable."""
+        query = _query(params)
         target = f"{self._prefix}{path}?{query}" if query else f"{self._prefix}{path}"
         conn = self._conn
         try:
@@ -151,7 +172,13 @@ class HttpServiceClient:
         except (OSError, HTTPException) as exc:
             conn.close()
             raise ServiceUnavailable(f"{self.endpoint}: {exc!r}") from exc
-        return resp.status, body.decode("utf-8")
+        try:
+            return resp.status, body.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self._unexpected("a body that is not UTF-8") from None
+
+    def _unexpected(self, what: str) -> ServiceUnavailable:
+        return ServiceUnavailable(f"unexpected reply from {self.endpoint}: {what}")
 
     def update(self, values: Mapping[int, str],
                created_at: datetime | None = None) -> int:
@@ -169,7 +196,10 @@ class HttpServiceClient:
             raise ServiceUnavailable(f"unexpected status {status}")
         if text == "0":
             raise RateLimited("write rejected by rate limit")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise self._unexpected(f"{text[:80]!r} for an entry id") from None
 
     def read_feeds(self, channel_id: int, results: int | None = None,
                    start: str | None = None, end: str | None = None) -> dict:
@@ -195,10 +225,17 @@ class HttpServiceClient:
         if status == 401:
             raise AuthError("read key rejected")
         if status == 400:
-            raise BadRequestError(json.loads(text)["error"])
+            try:
+                message = json.loads(text)["error"]
+            except (ValueError, TypeError, KeyError):  # not the server's error body
+                message = text
+            raise BadRequestError(message)
         if status != 200:
             raise ServiceUnavailable(f"unexpected status {status}")
-        return json.loads(text)
+        try:
+            return httpd.parse_feeds_body(text, self._items)
+        except (ValueError, RecursionError):
+            raise self._unexpected(f"{text[:80]!r} for a feed body") from None
 
 
 class LocalServiceClient:

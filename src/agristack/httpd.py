@@ -20,7 +20,13 @@ encoder, which alone decides what a value's text needs escaped. Each
 ChannelHttpServer keeps a memo per channel of per-entry texts, each feed item
 encoded once, that full-channel bodies are joined from. Once a memo holds
 more than 2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of
-them.
+them. The items a memo lacks are encoded in one encoder call when that text
+splits back into them.
+
+`parse_feeds_body` reads a feed body back, for `HttpServiceClient`: the
+reader's own memo maps the text of each feed item to the item parsed from it,
+so a steady poll parses only the items new to it. Any body not laid out as
+`feeds_body` writes it is parsed whole.
 
 Requests are read without the email package, which the stdlib's header parser
 goes through and which cost more server CPU than `ChannelService.update`.
@@ -35,7 +41,8 @@ HTTP/0.9 request with 400, and sends no `100 Continue` to a GET that expects
 one. An error in the request line gets a whole reply, status line and headers
 (`Connection: close` among them), where the stdlib sends the error page alone.
 `read_head`, its header reader, also reads the replies that
-`HttpServiceClient` gets.
+`HttpServiceClient` gets. A query with no `%` or `+` is split on `&` and `=`
+directly, as `parse_qs` would.
 
 A reply whose body is under _ONE_WRITE_MAX bytes goes out in one write, head
 and body joined. A longer one goes out as two, head then body: joining would
@@ -70,6 +77,12 @@ _FIELD_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)\.json$")
 # every feed body's JSON encoder; json.dumps with these separators would make
 # a new encoder on each call
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+# what parse_feeds_body parses each feed item and channel header with
+_raw_decode = json.JSONDecoder().raw_decode
+# a feed body starts with the first and is cut after the channel at the second
+_CHANNEL_HEAD = '{"channel":'
+_FEEDS_CUT = ',"feeds":['
 
 # serve_forever checks for shutdown this often, so stop() returns within about
 # this long; the stdlib default of 0.5 s would make every stop() that slow.
@@ -119,6 +132,20 @@ def read_head(rfile) -> dict[str, str]:
     raise HTTPException(f"got more than {_MAX_HEAD_LINES} headers")
 
 
+def _query_params(query: str) -> dict[str, str]:
+    """The last non-blank value of each name in `query`, as `parse_qs` reads
+    it. A query with no `%` or `+`, which unquoting would leave as it is, is
+    split directly."""
+    if "%" in query or "+" in query:
+        return {name: values[-1] for name, values in parse_qs(query).items()}
+    params = {}
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            params[name] = value
+    return params
+
+
 def _doc_fields(channel: svc.Channel, only_field: int | None) -> list[int]:
     """The field indices a feed doc of `channel` carries, in order: every
     declared one with no `only_field`, else [only_field]. Raises
@@ -159,14 +186,28 @@ def feeds_body(page: svc.FeedPage, only_field: int | None,
         text = memo.get(entry_id)
         if text is None:
             # Two threads racing on one entry store equal strings.
-            for item in feed_doc(page._replace(ids=range(entry_id, ids.stop)))["feeds"]:
-                text = memo.get(item["entry_id"])
+            items = feed_doc(page._replace(ids=range(entry_id, ids.stop)))["feeds"]
+            texts = [memo.get(item["entry_id"]) for item in items]
+            encoded = iter(_encode_items([item for item, text in zip(items, texts)
+                                          if text is None]))
+            for item, text in zip(items, texts):
                 if text is None:
-                    text = memo[item["entry_id"]] = _encode(item)
+                    text = memo[item["entry_id"]] = next(encoded)
                 feeds.append(text)
             break
         feeds.append(text)
     return f'{{"channel":{_encode(channel_doc(page.channel))},"feeds":[{",".join(feeds)}]}}'
+
+
+def _encode_items(items: list[dict]) -> list[str]:
+    """`_encode` of each feed item of `items`. The list is encoded in one call
+    when its text holds a `},{` only between items, and split there; a value
+    can only add occurrences to the `len(items) - 1` that item boundaries
+    make, since the items are flat. Else each item is encoded alone."""
+    text = _encode(items)
+    if text.count("},{") == len(items) - 1:
+        return [f"{{{piece}}}" for piece in text[2:-2].split("},{")]
+    return [_encode(item) for item in items]
 
 
 def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
@@ -185,6 +226,85 @@ def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
         for item, value in zip(feeds, repeat(None) if column is None else column[rows]):
             item[key] = value
     return {"channel": channel_doc(page.channel, only_field), "feeds": feeds}
+
+
+def _parse_object(text: str) -> dict:
+    """The JSON object `text` is, all of it. Raises ValueError for any other
+    text."""
+    doc, end = _raw_decode(text)
+    if end != len(text) or type(doc) is not dict:
+        raise ValueError("not one JSON object")
+    return doc
+
+
+def _parse_items(text: str, memo: dict[str, dict]) -> dict:
+    """parse_feeds_body's reading of a body laid out as feeds_body writes it.
+    Raises ValueError for any other text, leaving `memo` as it was."""
+    # I is text[start:end], sliced once: each copy of an 8000-item body took
+    # ~0.5 ms, a tenth of a steady read
+    cut = text.find(_FEEDS_CUT)
+    if cut < 0 or not (text.startswith(_CHANNEL_HEAD) and text.endswith("]}")):
+        raise ValueError("not a feeds_body layout")
+    channel = _parse_object(text[len(_CHANNEL_HEAD):cut])
+    start, end = cut + len(_FEEDS_CUT), len(text) - 2
+    if start == end:
+        return {"channel": channel, "feeds": []}
+    if text[start] != "{" or text[end - 1] != "}":
+        raise ValueError("not a feeds_body layout")
+    pieces = text[start + 1:end - 1].split("},{")
+    get = memo.get
+    new: dict[str, dict] = {}
+    feeds = []
+    append = feeds.append
+    for piece in pieces:
+        item = get(piece)
+        if item is None:
+            item = _parse_object(f"{{{piece}}}")
+            # an item kept has no object or list in it, so that its copies
+            # share nothing the caller may change
+            if "{" not in piece and "[" not in piece:
+                new[piece] = item
+        append(item.copy())
+    memo.update(new)
+    limit = 2 * svc.MAX_RESULTS
+    if len(memo) > limit:
+        kept = {piece: memo[piece] for piece in pieces[-limit:] if piece in memo}
+        memo.clear()
+        memo.update(kept)
+    return {"channel": channel, "feeds": feeds}
+
+
+def parse_feeds_body(text: str, memo: dict[str, dict]) -> dict:
+    """The feed doc a feed body `text` holds, equal to `json.loads(text)`, in
+    dicts of its own that the caller may change.
+
+    `memo` maps the text of a feed item, its braces left off, to the item
+    parsed from it; the reader keeps one across its reads, so each item is
+    parsed once. A body laid out as feeds_body writes it,
+    `{"channel":C,"feeds":[I]}`, is cut at its first `,"feeds":[` and I is
+    split at each `},{`. C, and each piece `memo` lacks, must parse alone as
+    one whole JSON object, so the body is these texts joined and parses to
+    what they do. A cut inside C, or a split inside a string or a nested
+    value of an item, leaves a proper prefix of an object, which never parses
+    as a whole one, and `memo` holds only pieces that did: such a body, and
+    any other text, is parsed whole instead. Only pieces with no `{` or `[`
+    in them are kept. Once `memo` holds more than 2 x MAX_RESULTS items it
+    keeps only those of this body.
+
+    Raises ValueError when `text` is not JSON, or not an object with a
+    "channel" object and a "feeds" list of objects, and RecursionError, as
+    `json.loads` does, when it nests too deeply to parse.
+    """
+    try:
+        return _parse_items(text, memo)
+    except (ValueError, RecursionError):
+        pass
+    doc = json.loads(text)
+    if not (type(doc) is dict and type(doc.get("channel")) is dict
+            and type(doc.get("feeds")) is list
+            and all(type(item) is dict for item in doc["feeds"])):
+        raise ValueError("not a feed doc")
+    return doc
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -273,7 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         url = urlparse(self.path)
-        params = {k: v[-1] for k, v in parse_qs(url.query).items()}
+        params = _query_params(url.query)
         try:
             if url.path == "/update":
                 self._handle_update(params)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import NamedTuple
 from urllib.parse import urlencode, urlsplit
@@ -99,3 +102,34 @@ def http_get(url: str, params: dict[str, str] | None = None,
     """GET `url` with the query `params` on a connection of its own."""
     with HttpSession(timeout) as session:
         return session.get(url, params)
+
+
+@contextmanager
+def scripted_server(replies: list[bytes]):
+    """Yield (port, heads) of a server whose n-th connection reads one request
+    head, appends it to `heads` and answers replies[n]; b"" closes without a
+    reply."""
+    heads: list[bytes] = []
+
+    def serve(listener):
+        for reply in replies:
+            conn, _ = listener.accept()
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head and (chunk := conn.recv(4096)):
+                    head += chunk
+                heads.append(head)
+                conn.sendall(reply)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+        thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+        thread.start()
+        yield listener.getsockname()[1], heads
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def ok_reply(body: bytes) -> bytes:
+    """A 200 reply carrying `body`, for a scripted_server."""
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)

@@ -20,7 +20,7 @@ from agristack.cli import DEFAULT_WRITE_KEY, _entry_to_reading, cli, main, spark
 from agristack.client import HttpServiceClient
 from agristack.service import ChannelService
 from agristack.storelog import RecordLog
-from tests.conftest import WRITE_KEY, http_get
+from tests.conftest import WRITE_KEY, http_get, ok_reply, scripted_server
 
 
 def run_cli(capsys, *args):
@@ -102,6 +102,13 @@ def test_table_unreachable_service_is_network_error(capsys):
     code, _, err = run_cli(capsys, "table", "--endpoint", "http://127.0.0.1:1")
     assert code == 2
     assert "network error" in err
+
+
+def test_table_on_a_reply_that_is_not_a_feed_body_is_network_error(capsys):
+    with scripted_server([ok_reply(b"<html>proxy error</html>")]) as (port, _):
+        code, _, err = run_cli(capsys, "table", "--endpoint", f"http://127.0.0.1:{port}")
+    assert code == 2
+    assert "network error" in err and "unexpected reply" in err
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,26 @@ def test_watch_alerts_names_entries_beyond_one_poll(memory_service, http_server,
     assert code == 0
     assert out == ""
     assert err == "warning: entries 1..5 not evaluated\n"
+
+
+def test_watch_alerts_retries_after_a_reply_that_is_not_a_feed_body(capsys, monkeypatch):
+    sleeps = []
+
+    def sleep(seconds):  # the first after the bad reply, the second after the poll
+        sleeps.append(seconds)
+        if len(sleeps) == 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module.time, "sleep", sleep)
+    replies = [ok_reply(b"<html>proxy error</html>"),
+               ok_reply(b'{"channel":{"id":1},"feeds":[]}')]
+    with scripted_server(replies) as (port, heads):
+        code, out, err = run_cli(capsys, "watch-alerts", "--endpoint",
+                                 f"http://127.0.0.1:{port}", "--poll", "0")
+    assert code == 130                  # stopped by the interrupt, not the reply
+    assert len(heads) == 2
+    assert "unexpected reply" in err and "retrying" in err
+    assert out == ""
 
 
 def test_watch_alerts_quiet_on_normal_stream(http_server, capsys):

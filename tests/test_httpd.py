@@ -15,6 +15,7 @@ from datetime import datetime, timedelta, timezone
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from urllib.parse import parse_qs
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -475,8 +476,9 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, http_server,
     encode = httpd._encode
 
     def counting_encode(doc):
-        if "entry_id" in doc:  # a feed item, not a channel header or a body
-            encoded.append(doc["entry_id"])
+        # feed items, alone or in a list, not a channel header or a body
+        items = doc if isinstance(doc, list) else [doc] if "entry_id" in doc else []
+        encoded.extend(item["entry_id"] for item in items)
         return encode(doc)
 
     monkeypatch.setattr(httpd, "_encode", counting_encode)
@@ -552,6 +554,191 @@ def test_channels_behind_one_server_keep_their_own_memos(memory_service, http_se
         for channel in (station, other):
             assert poll(http_server, channel.id) == reference_feeds_body(
                 channel, entries[channel.id])
+
+
+# -- the client's reader of feed bodies ---------------------------------------
+
+def _same(got, want) -> bool:
+    """Equal, and of the same types in the same key order; NaN equals NaN."""
+    return repr(got) == repr(want)
+
+
+def _is_feed_doc(doc) -> bool:
+    return (isinstance(doc, dict) and isinstance(doc.get("channel"), dict)
+            and isinstance(doc.get("feeds"), list)
+            and all(isinstance(item, dict) for item in doc["feeds"]))
+
+
+def _change(doc: dict) -> None:
+    """Change everything in `doc` a caller could, nested values included."""
+    doc["channel"]["changed"] = True
+    for item in doc["feeds"]:
+        for value in list(item.values()):
+            if isinstance(value, list):
+                value.append("changed")
+            elif isinstance(value, dict):
+                value["changed"] = True
+        item["changed"] = True
+    doc["feeds"].append({"changed": True})
+
+
+def _check_reads(bodies: list[str], memo: dict[str, dict]) -> None:
+    """Read each body with one shared memo: each result is json.loads of the
+    body, or both raise; changing a result changes no later read; and each
+    memo entry is what its text parses to alone."""
+    for body in bodies:
+        try:
+            want = json.loads(body)
+        except ValueError:
+            want = None
+        if _is_feed_doc(want):
+            got = httpd.parse_feeds_body(body, memo)
+            assert _same(got, want)
+            _change(got)
+        else:
+            with pytest.raises(ValueError):
+                httpd.parse_feeds_body(body, memo)
+        assert len(memo) <= 2 * service_module.MAX_RESULTS
+    for piece, item in memo.items():
+        assert _same(item, json.loads(f"{{{piece}}}"))
+
+
+def _feeds_text(inner: str) -> str:
+    return '{"channel":{"id":1},"feeds":[' + inner + "]}"
+
+
+TRICKY = st.sampled_from(["},{", '"', "\\", "[", "]", "{", "}", ",", ":", " ", "\n",
+                          "\x00", "\x1f", "\x7f", "\u2028", "\U0001f331", "\ud800",
+                          ',"feeds":[', '"},{"'])
+texts = st.lists(st.one_of(TRICKY, st.text(max_size=3)), max_size=4).map("".join)
+scalars = st.one_of(st.none(), texts, st.integers(), st.booleans(), st.floats())
+values = st.one_of(scalars, st.lists(scalars, max_size=2),
+                   st.dictionaries(texts, scalars, max_size=2))
+items = st.dictionaries(st.one_of(st.sampled_from(["created_at", "entry_id", "field1"]),
+                                  texts), values, max_size=4)
+# how a body lays its doc out: as feeds_body does, or as another server might
+LAYOUTS = {
+    "wire": httpd._encode,
+    "spaced": json.dumps,                       # "}, {" between items
+    "indented": lambda doc: json.dumps(doc, indent=1),
+    "unescaped": lambda doc: json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+    "sorted": lambda doc: json.dumps(doc, separators=(",", ":"), sort_keys=True),
+    "feeds-first": lambda doc: httpd._encode({"feeds": doc["feeds"],
+                                              "channel": doc["channel"]}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool=st.lists(items, min_size=1, max_size=5),
+       channel=st.dictionaries(texts, scalars, max_size=3),
+       reads=st.lists(st.one_of(
+           # pool items laid out, then one span of the body replaced, often
+           # near an end (a negative place counts from the end), or none
+           st.tuples(st.lists(st.integers(0, 9), max_size=6), st.sampled_from(sorted(LAYOUTS)),
+                     st.none() | st.tuples(st.integers(-12, 12) | st.integers(0, 999),
+                                           st.integers(0, 2), TRICKY | st.text(max_size=2))),
+           st.text(), st.lists(st.one_of(TRICKY, st.sampled_from(['{"a":1}', '"a":1', "{}"])),
+                              max_size=5).map("".join).map(_feeds_text)), max_size=6))
+@example(pool=[{"a": "},{"}, {"b": [{"c": 1}, {"d": 2}]}, {}],
+         channel={"x": 1, "feeds": [{"a": "},{"}]},
+         reads=[([0, 1, 2, 0], "wire", None), ([2, 1, 0], "wire", None),
+                ([0, 1], "spaced", None), ([], "wire", None)])
+def test_reads_with_one_memo_equal_json_loads(pool, channel, reads):
+    bodies = []
+    for read in reads:
+        if isinstance(read, str):
+            bodies.append(read)
+            continue
+        indices, layout, edit = read
+        body = LAYOUTS[layout]({"channel": channel,
+                                "feeds": [pool[i % len(pool)] for i in indices]})
+        if edit is not None:
+            at, length, text = edit
+            at %= len(body) + 1
+            body = body[:at] + text + body[at + length:]
+        bodies.append(body)
+    _check_reads(bodies, {})
+
+
+def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
+    memo: dict[str, dict] = {}
+    bodies = [
+        '{"CHANNEL":{},"feeds":[]}',             # not the head feeds_body writes
+        '{"channel":{},"feeds":[{"a":1}]]',      # nor the end
+        '{"channel":[1],"feeds":[]}',            # C is not an object
+        '{"channel":{"a":1}x,"feeds":[]}',       # nor is it one whole object
+        '{"channel":{},"feeds":[1,2]}',          # I does not begin with "{"
+        '{"channel":{},"feeds":[ {"a":1}]}',
+        '{"channel":{},"feeds":[x"a":1}]}',
+        '{"channel":{},"feeds":[{"a":1} ]}',     # nor end with "}"
+        '{"channel":{},"feeds":[{"a":1 ]}',
+        '{"channel":{},"feeds":[{"a":1},{"b":2} ,{"c":3}]}',  # a piece not whole
+        '{"channel":{"x":1,"feeds":[1]},"feeds":[{"a":1}]}',  # a cut inside C
+        '{"channel":{},"feeds":[{"a":"},{"},{"b":"x"}]}',     # a split in a string
+        '{"channel":{},"feeds":[{"a":[{"b":1},{"c":2}]}]}',   # and in a nested value
+        '{"channel":{},"feeds":[]}x',
+        '{"channel":{},"feeds":[]}',
+        '{"channel":{},"feeds":{}}',
+        '<html>proxy error</html>',
+        '',
+    ]
+    _check_reads(bodies, memo)
+    assert memo == {}   # only a body read piece by piece adds to it
+    _check_reads(['{"channel":{},"feeds":[{"a":1},{"b":"x"}]}'], memo)
+    assert sorted(memo) == ['"a":1', '"b":"x"']
+
+
+def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
+    decoded = []
+    raw_decode = httpd._raw_decode
+
+    def counting(text):
+        decoded.append(text)
+        return raw_decode(text)
+
+    monkeypatch.setattr(httpd, "_raw_decode", counting)
+    memo: dict[str, dict] = {}
+    doc = {"channel": {"id": 1}, "feeds": [{"entry_id": i, "field1": f"{i}.5"}
+                                           for i in range(1, 4)]}
+    first = httpd.parse_feeds_body(httpd._encode(doc), memo)
+    assert len(decoded) == 4                    # the channel, then each item
+    doc["feeds"].append({"entry_id": 4, "field1": None})
+    second = httpd.parse_feeds_body(httpd._encode(doc), memo)
+    assert decoded[4:] == ['{"id":1}', '{"entry_id":4,"field1":null}']
+    assert first["feeds"] == second["feeds"][:3]
+    assert all(a is not b for a, b in zip(first["feeds"], second["feeds"]))
+    assert second == doc
+
+
+def test_a_full_memo_keeps_only_the_items_of_the_last_body(monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 3)
+    memo: dict[str, dict] = {}
+    for start in range(1, 10, 2):
+        doc = {"channel": {}, "feeds": [{"entry_id": i} for i in range(start, start + 3)]}
+        assert httpd.parse_feeds_body(httpd._encode(doc), memo) == doc
+        assert len(memo) <= 6
+    assert sorted(memo) == ['"entry_id":10', '"entry_id":11', '"entry_id":9']
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(["created_at", "entry_id", "field1"]),
+                                st.one_of(st.none(), st.integers(), texts)), max_size=4))
+@example([{"field1": "},{"}, {"field1": "}"}, {"field1": "{"}])
+def test_cold_items_are_encoded_as_one_by_one(feed_items):
+    assert httpd._encode_items(feed_items) == [httpd._encode(i) for i in feed_items]
+
+
+def _parse_qs_last(query: str) -> list[tuple[str, str]]:
+    return [(name, values[-1]) for name, values in parse_qs(query).items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text("ab_.=", max_size=3), st.booleans(),
+                          st.text("ab1-=%+ \u00e5", max_size=3)), max_size=5))
+@example([("a", True, "1"), ("a", True, ""), ("b", False, ""), ("", True, "2"), ("a", True, "3")])
+def test_query_params_are_read_as_parse_qs_reads_them(fields):
+    query = "&".join(f"{name}={value}" if eq else name for name, eq, value in fields)
+    assert list(httpd._query_params(query).items()) == _parse_qs_last(query)
 
 
 # -- the request parser against the stdlib's ---------------------------------
