@@ -10,14 +10,12 @@ same limits as the server, rather than through the email package. It parses
 feed bodies with `httpd.parse_feeds_body` and a memo of its own, so each feed
 item is parsed once however many polls carry it, and each read still returns
 fresh dicts. A 200 reply that is not UTF-8, or not the body asked for, raises
-ServiceUnavailable, as a service that does not answer does. A query whose
-names and values need no quoting is joined by hand.
+ServiceUnavailable, as a service that does not answer does.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import select
 import weakref
 from base64 import b64encode
@@ -33,9 +31,6 @@ from .service import (AuthError, BadRequestError, ChannelService,
                       UnknownChannelError, format_timestamp, parse_timestamp)
 
 TIMEOUT_S = 5.0                 # per HTTP request, connect and read
-
-# the texts urlencode leaves as they are
-_PLAIN_RE = re.compile(r"[A-Za-z0-9._-]*")
 
 
 class ServiceUnavailable(Exception):
@@ -69,15 +64,6 @@ def _connection(endpoint: str) -> tuple[HTTPConnection, str, dict[str, str]]:
         return conn, endpoint, headers  # absolute-form targets, to the proxy
     conn.set_tunnel(url.hostname, port, headers=headers)
     return conn, url.path, {}
-
-
-def _query(params: dict) -> str:
-    """`urlencode` of the non-None `params`, joined by hand when no name or
-    value holds a character it would quote."""
-    pairs = [(name, str(value)) for name, value in params.items() if value is not None]
-    if _PLAIN_RE.fullmatch("".join(name + value for name, value in pairs)):
-        return "&".join(f"{name}={value}" for name, value in pairs)
-    return urlencode(pairs)
 
 
 class _Response(HTTPResponse):
@@ -147,14 +133,14 @@ class HttpServiceClient:
             raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
         self._conn.response_class = _Response
         # the memo httpd.parse_feeds_body parses feed bodies with
-        self._items: dict[str, dict] = {}
+        self._items = httpd.FeedItems()
         # The socket goes with the client, as a pooled one would with its pool.
         weakref.finalize(self, self._conn.close)
 
     def _get(self, path: str, params: dict) -> tuple[int, str]:
         """GET `path` with the non-None `params`: (status, body as text).
         A body that is not UTF-8 raises ServiceUnavailable."""
-        query = _query(params)
+        query = urlencode({k: v for k, v in params.items() if v is not None})
         target = f"{self._prefix}{path}?{query}" if query else f"{self._prefix}{path}"
         conn = self._conn
         try:

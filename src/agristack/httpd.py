@@ -20,13 +20,14 @@ encoder, which alone decides what a value's text needs escaped. Each
 ChannelHttpServer keeps a memo per channel of per-entry texts, each feed item
 encoded once, that full-channel bodies are joined from. Once a memo holds
 more than 2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of
-them. The items a memo lacks are encoded in one encoder call when that text
-splits back into them.
+them.
 
 `parse_feeds_body` reads a feed body back, for `HttpServiceClient`: the
-reader's own memo maps the text of each feed item to the item parsed from it,
-so a steady poll parses only the items new to it. Any body not laid out as
-`feeds_body` writes it is parsed whole.
+reader's own memo, a `FeedItems`, maps the text of each feed item to the item
+parsed from it, so a steady poll parses only the items new to it, together in
+one parse. The memo holds at most 2 x MAX_RESULTS items, and drops only
+those the latest reads did not have. Any body not laid out as `feeds_body`
+writes it is parsed whole.
 
 Requests are read without the email package, which the stdlib's header parser
 goes through and which cost more server CPU than `ChannelService.update`.
@@ -41,8 +42,7 @@ HTTP/0.9 request with 400, and sends no `100 Continue` to a GET that expects
 one. An error in the request line gets a whole reply, status line and headers
 (`Connection: close` among them), where the stdlib sends the error page alone.
 `read_head`, its header reader, also reads the replies that
-`HttpServiceClient` gets. A query with no `%` or `+` is split on `&` and `=`
-directly, as `parse_qs` would.
+`HttpServiceClient` gets.
 
 A reply whose body is under _ONE_WRITE_MAX bytes goes out in one write, head
 and body joined. A longer one goes out as two, head then body: joining would
@@ -59,6 +59,7 @@ import logging
 import re
 import threading
 import time
+from collections import deque
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
@@ -78,7 +79,7 @@ _FIELD_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)\.json$")
 # a new encoder on each call
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-# what parse_feeds_body parses each feed item and channel header with
+# what parse_feeds_body parses a feed body's channel with
 _raw_decode = json.JSONDecoder().raw_decode
 # a feed body starts with the first and is cut after the channel at the second
 _CHANNEL_HEAD = '{"channel":'
@@ -132,20 +133,6 @@ def read_head(rfile) -> dict[str, str]:
     raise HTTPException(f"got more than {_MAX_HEAD_LINES} headers")
 
 
-def _query_params(query: str) -> dict[str, str]:
-    """The last non-blank value of each name in `query`, as `parse_qs` reads
-    it. A query with no `%` or `+`, which unquoting would leave as it is, is
-    split directly."""
-    if "%" in query or "+" in query:
-        return {name: values[-1] for name, values in parse_qs(query).items()}
-    params = {}
-    for field in query.split("&"):
-        name, _, value = field.partition("=")
-        if value:
-            params[name] = value
-    return params
-
-
 def _doc_fields(channel: svc.Channel, only_field: int | None) -> list[int]:
     """The field indices a feed doc of `channel` carries, in order: every
     declared one with no `only_field`, else [only_field]. Raises
@@ -186,28 +173,14 @@ def feeds_body(page: svc.FeedPage, only_field: int | None,
         text = memo.get(entry_id)
         if text is None:
             # Two threads racing on one entry store equal strings.
-            items = feed_doc(page._replace(ids=range(entry_id, ids.stop)))["feeds"]
-            texts = [memo.get(item["entry_id"]) for item in items]
-            encoded = iter(_encode_items([item for item, text in zip(items, texts)
-                                          if text is None]))
-            for item, text in zip(items, texts):
+            for item in feed_doc(page._replace(ids=range(entry_id, ids.stop)))["feeds"]:
+                text = memo.get(item["entry_id"])
                 if text is None:
-                    text = memo[item["entry_id"]] = next(encoded)
+                    text = memo[item["entry_id"]] = _encode(item)
                 feeds.append(text)
             break
         feeds.append(text)
     return f'{{"channel":{_encode(channel_doc(page.channel))},"feeds":[{",".join(feeds)}]}}'
-
-
-def _encode_items(items: list[dict]) -> list[str]:
-    """`_encode` of each feed item of `items`. The list is encoded in one call
-    when its text holds a `},{` only between items, and split there; a value
-    can only add occurrences to the `len(items) - 1` that item boundaries
-    make, since the items are flat. Else each item is encoded alone."""
-    text = _encode(items)
-    if text.count("},{") == len(items) - 1:
-        return [f"{{{piece}}}" for piece in text[2:-2].split("},{")]
-    return [_encode(item) for item in items]
 
 
 def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
@@ -228,6 +201,43 @@ def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
     return {"channel": channel_doc(page.channel, only_field), "feeds": feeds}
 
 
+class FeedItems:
+    """The memo `parse_feeds_body` reads feed bodies with: `by_text` maps the
+    text of each feed item, its braces left off, to the item parsed from it.
+
+    `reads` holds the items of the latest reads, newest last: as many whole
+    reads as hold at most 2 x MAX_RESULTS items together. Once `by_text`
+    holds more than 2 x MAX_RESULTS items, it keeps only those these reads
+    had. So a poll's items stay for the next poll while the reads from the
+    first on hold at most 2 x MAX_RESULTS items, whatever those reads are,
+    and a steady poll looks each item up in one dict."""
+
+    __slots__ = ("by_text", "reads", "read_items")
+
+    def __init__(self) -> None:
+        self.by_text: dict[str, dict] = {}
+        self.reads: deque[list[dict]] = deque()
+        self.read_items = 0             # how many items `reads` holds
+
+    def _add(self, items: list[dict], parsed: dict[str, dict]) -> None:
+        """Note a read of `items`, keeping by their text those `parsed` for it."""
+        limit = 2 * svc.MAX_RESULTS
+        if len(items) > limit:
+            items = items[-limit:]
+        reads = self.reads
+        reads.append(items)
+        self.read_items += len(items)
+        while self.read_items > limit:
+            self.read_items -= len(reads.popleft())
+        by_text = self.by_text
+        by_text.update(parsed)
+        if len(by_text) > limit:
+            # each item in by_text is an object of its own, and `reads`
+            # holds it, so its id is no other's
+            used = {id(item) for read in reads for item in read}
+            self.by_text = {piece: item for piece, item in by_text.items() if id(item) in used}
+
+
 def _parse_object(text: str) -> dict:
     """The JSON object `text` is, all of it. Raises ValueError for any other
     text."""
@@ -237,7 +247,26 @@ def _parse_object(text: str) -> dict:
     return doc
 
 
-def _parse_items(text: str, memo: dict[str, dict]) -> dict:
+def _parse_pieces(pieces: list[str]) -> list[dict]:
+    """The object each of `pieces` parses to as `{piece}`, alone and whole,
+    parsed together as one array, `[{P},{P}...]`. Raises ValueError when the
+    text of that array holds JSON whitespace, or is not k objects for k
+    pieces.
+
+    With no whitespace, the k objects lie between k - 1 separators, each a
+    `},{`, and the text holds exactly k - 1 of those, one at each join, since
+    no piece holds one and none can span a join. So each object is one
+    `{piece}`, as parsed alone."""
+    text = "[{" + "},{".join(pieces) + "}]"
+    if " " in text or "\n" in text or "\r" in text or "\t" in text:
+        raise ValueError("JSON whitespace between the pieces")
+    items = json.loads(text)
+    if len(items) != len(pieces) or set(map(type, items)) != {dict}:
+        raise ValueError("not one object per piece")
+    return items
+
+
+def _parse_items(text: str, memo: FeedItems) -> dict:
     """parse_feeds_body's reading of a body laid out as feeds_body writes it.
     Raises ValueError for any other text, leaving `memo` as it was."""
     # I is text[start:end], sliced once: each copy of an 8000-item body took
@@ -252,44 +281,37 @@ def _parse_items(text: str, memo: dict[str, dict]) -> dict:
     if text[start] != "{" or text[end - 1] != "}":
         raise ValueError("not a feeds_body layout")
     pieces = text[start + 1:end - 1].split("},{")
-    get = memo.get
-    new: dict[str, dict] = {}
-    feeds = []
-    append = feeds.append
-    for piece in pieces:
-        item = get(piece)
-        if item is None:
-            item = _parse_object(f"{{{piece}}}")
+    found = list(map(memo.by_text.get, pieces))
+    missing = [i for i, item in enumerate(found) if item is None]
+    parsed: dict[str, dict] = {}
+    if missing:
+        for i, item in zip(missing, _parse_pieces([pieces[i] for i in missing])):
+            found[i] = item
+            piece = pieces[i]
             # an item kept has no object or list in it, so that its copies
             # share nothing the caller may change
             if "{" not in piece and "[" not in piece:
-                new[piece] = item
-        append(item.copy())
-    memo.update(new)
-    limit = 2 * svc.MAX_RESULTS
-    if len(memo) > limit:
-        kept = {piece: memo[piece] for piece in pieces[-limit:] if piece in memo}
-        memo.clear()
-        memo.update(kept)
-    return {"channel": channel, "feeds": feeds}
+                parsed[piece] = item
+    memo._add(found, parsed)
+    return {"channel": channel, "feeds": list(map(dict.copy, found))}
 
 
-def parse_feeds_body(text: str, memo: dict[str, dict]) -> dict:
+def parse_feeds_body(text: str, memo: FeedItems) -> dict:
     """The feed doc a feed body `text` holds, equal to `json.loads(text)`, in
     dicts of its own that the caller may change.
 
-    `memo` maps the text of a feed item, its braces left off, to the item
-    parsed from it; the reader keeps one across its reads, so each item is
-    parsed once. A body laid out as feeds_body writes it,
+    The reader keeps one `memo` across its reads, so each item is parsed
+    once. A body laid out as feeds_body writes it,
     `{"channel":C,"feeds":[I]}`, is cut at its first `,"feeds":[` and I is
-    split at each `},{`. C, and each piece `memo` lacks, must parse alone as
-    one whole JSON object, so the body is these texts joined and parses to
+    split at each `},{`. C must parse alone as one whole JSON object, and so
+    must each piece `memo` lacks, which `_parse_pieces` checks for all of
+    them in one parse; then the body is these texts joined and parses to
     what they do. A cut inside C, or a split inside a string or a nested
-    value of an item, leaves a proper prefix of an object, which never parses
-    as a whole one, and `memo` holds only pieces that did: such a body, and
-    any other text, is parsed whole instead. Only pieces with no `{` or `[`
-    in them are kept. Once `memo` holds more than 2 x MAX_RESULTS items it
-    keeps only those of this body.
+    value of an item, leaves a proper prefix of an object, which never
+    parses as a whole one, and `memo` holds only pieces that did: such a
+    body, one whose missing pieces hold JSON whitespace, and any other text
+    are parsed whole instead. Only pieces with no `{` or `[` in them are
+    kept.
 
     Raises ValueError when `text` is not JSON, or not an object with a
     "channel" object and a "feeds" list of objects, and RecursionError, as
@@ -393,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         url = urlparse(self.path)
-        params = _query_params(url.query)
+        params = {k: v[-1] for k, v in parse_qs(url.query).items()}
         try:
             if url.path == "/update":
                 self._handle_update(params)

@@ -13,14 +13,11 @@ import time
 from base64 import b64encode
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from urllib.parse import urlencode
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import agristack
-from agristack import client as client_module, httpd
+from agristack import httpd
 from agristack.client import HttpServiceClient, LocalServiceClient, ServiceUnavailable
 from agristack.service import AuthError, BadRequestError, UnknownChannelError
 from tests.conftest import WRITE_KEY, ok_reply, scripted_server
@@ -180,16 +177,6 @@ def test_a_400_reply_of_any_body_is_a_bad_request(no_proxy_env, body):
     with scripted_server([reply]) as (port, _):
         with pytest.raises(BadRequestError):
             HttpServiceClient(f"http://127.0.0.1:{port}").read_feeds(1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text("ab_.-~ =&%+\u00e5", max_size=3),
-                       st.one_of(st.none(), st.integers(), st.text("ab1.-~ =&%+\u00e5", max_size=3)),
-                       max_size=4))
-@example({"api_key": "K-1.a_", "results": 8000, "start": None, "": ""})
-def test_query_is_what_urlencode_makes(params):
-    assert client_module._query(params) == urlencode(
-        {name: value for name, value in params.items() if value is not None})
 
 
 def test_http_proxy_gets_absolute_form_targets_and_credentials(no_proxy_env):

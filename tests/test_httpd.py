@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
-from urllib.parse import parse_qs
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -476,9 +476,8 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, http_server,
     encode = httpd._encode
 
     def counting_encode(doc):
-        # feed items, alone or in a list, not a channel header or a body
-        items = doc if isinstance(doc, list) else [doc] if "entry_id" in doc else []
-        encoded.extend(item["entry_id"] for item in items)
+        if "entry_id" in doc:  # a feed item, not a channel header or a body
+            encoded.append(doc["entry_id"])
         return encode(doc)
 
     monkeypatch.setattr(httpd, "_encode", counting_encode)
@@ -582,7 +581,7 @@ def _change(doc: dict) -> None:
     doc["feeds"].append({"changed": True})
 
 
-def _check_reads(bodies: list[str], memo: dict[str, dict]) -> None:
+def _check_reads(bodies: list[str], memo: httpd.FeedItems) -> None:
     """Read each body with one shared memo: each result is json.loads of the
     body, or both raise; changing a result changes no later read; and each
     memo entry is what its text parses to alone."""
@@ -598,8 +597,8 @@ def _check_reads(bodies: list[str], memo: dict[str, dict]) -> None:
         else:
             with pytest.raises(ValueError):
                 httpd.parse_feeds_body(body, memo)
-        assert len(memo) <= 2 * service_module.MAX_RESULTS
-    for piece, item in memo.items():
+        assert len(memo.by_text) <= 2 * service_module.MAX_RESULTS
+    for piece, item in memo.by_text.items():
         assert _same(item, json.loads(f"{{{piece}}}"))
 
 
@@ -643,6 +642,8 @@ LAYOUTS = {
          channel={"x": 1, "feeds": [{"a": "},{"}]},
          reads=[([0, 1, 2, 0], "wire", None), ([2, 1, 0], "wire", None),
                 ([0, 1], "spaced", None), ([], "wire", None)])
+@example(pool=[{"a": [1], "b": {"c": 2}}], channel={},      # nested values, read twice
+         reads=[([0], "wire", None), ([0, 0], "wire", None)])
 def test_reads_with_one_memo_equal_json_loads(pool, channel, reads):
     bodies = []
     for read in reads:
@@ -657,11 +658,33 @@ def test_reads_with_one_memo_equal_json_loads(pool, channel, reads):
             at %= len(body) + 1
             body = body[:at] + text + body[at + length:]
         bodies.append(body)
-    _check_reads(bodies, {})
+    with mock.patch.object(service_module, "MAX_RESULTS", 2):  # so that the memo fills
+        _check_reads(bodies, httpd.FeedItems())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.lists(items, max_size=4).map(
+    lambda feed: httpd._encode(feed)[2:-2].split("},{")),   # as the reader splits a body
+    st.lists(st.one_of(TRICKY, texts, st.sampled_from(['"a":1', '"a":{"b":1}', ""])),
+             max_size=4)), max_size=3).map(lambda lists: sum(lists, [])).filter(len))
+@example(['"a":"', '"', '"b":1'])               # a split in a string
+@example(['"a":"', '"}, {"b":1'])               # ... that a spaced join would hide
+@example(['"a":[{"b":1', '"c":2}]'])            # a split in a nested value
+@example(['"a":"x y"', '"b":1'])                # whitespace
+def test_pieces_parse_together_only_as_each_alone(pieces):
+    try:
+        want = [json.loads(f"{{{piece}}}") for piece in pieces]
+    except ValueError:
+        want = None
+    if want is None or any(c in piece for piece in pieces for c in " \n\r\t"):
+        with pytest.raises(ValueError):
+            httpd._parse_pieces(pieces)
+    else:
+        assert _same(httpd._parse_pieces(pieces), want)
 
 
 def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
-    memo: dict[str, dict] = {}
+    memo = httpd.FeedItems()
     bodies = [
         '{"CHANNEL":{},"feeds":[]}',             # not the head feeds_body writes
         '{"channel":{},"feeds":[{"a":1}]]',      # nor the end
@@ -683,62 +706,50 @@ def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
         '',
     ]
     _check_reads(bodies, memo)
-    assert memo == {}   # only a body read piece by piece adds to it
+    assert memo.by_text == {}   # only a body read piece by piece adds to it
     _check_reads(['{"channel":{},"feeds":[{"a":1},{"b":"x"}]}'], memo)
-    assert sorted(memo) == ['"a":1', '"b":"x"']
+    assert sorted(memo.by_text) == ['"a":1', '"b":"x"']
+
+
+def _count_parses(monkeypatch) -> list[list[str]]:
+    """The pieces each call of httpd._parse_pieces is given, in call order."""
+    given = []
+    parse_pieces = httpd._parse_pieces
+
+    def counting(pieces):
+        given.append(pieces)
+        return parse_pieces(pieces)
+
+    monkeypatch.setattr(httpd, "_parse_pieces", counting)
+    return given
 
 
 def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
-    decoded = []
-    raw_decode = httpd._raw_decode
-
-    def counting(text):
-        decoded.append(text)
-        return raw_decode(text)
-
-    monkeypatch.setattr(httpd, "_raw_decode", counting)
-    memo: dict[str, dict] = {}
+    parsed = _count_parses(monkeypatch)
+    memo = httpd.FeedItems()
     doc = {"channel": {"id": 1}, "feeds": [{"entry_id": i, "field1": f"{i}.5"}
                                            for i in range(1, 4)]}
     first = httpd.parse_feeds_body(httpd._encode(doc), memo)
-    assert len(decoded) == 4                    # the channel, then each item
+    assert parsed == [[f'"entry_id":{i},"field1":"{i}.5"' for i in range(1, 4)]]
     doc["feeds"].append({"entry_id": 4, "field1": None})
     second = httpd.parse_feeds_body(httpd._encode(doc), memo)
-    assert decoded[4:] == ['{"id":1}', '{"entry_id":4,"field1":null}']
+    assert parsed[1:] == [['"entry_id":4,"field1":null']]
     assert first["feeds"] == second["feeds"][:3]
     assert all(a is not b for a, b in zip(first["feeds"], second["feeds"]))
     assert second == doc
 
 
-def test_a_full_memo_keeps_only_the_items_of_the_last_body(monkeypatch):
-    monkeypatch.setattr(service_module, "MAX_RESULTS", 3)
-    memo: dict[str, dict] = {}
-    for start in range(1, 10, 2):
-        doc = {"channel": {}, "feeds": [{"entry_id": i} for i in range(start, start + 3)]}
+def test_short_reads_between_polls_leave_the_polls_items_in_the_memo(monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 4)   # the memo holds 8 items
+    parsed = _count_parses(monkeypatch)
+    memo = httpd.FeedItems()
+    for ids in ([1, 2, 3, 4], [20, 21, 22], [2, 3, 4, 5], [30, 31, 32], [3, 4, 5, 6]):
+        doc = {"channel": {}, "feeds": [{"entry_id": i} for i in ids]}
         assert httpd.parse_feeds_body(httpd._encode(doc), memo) == doc
-        assert len(memo) <= 6
-    assert sorted(memo) == ['"entry_id":10', '"entry_id":11', '"entry_id":9']
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(["created_at", "entry_id", "field1"]),
-                                st.one_of(st.none(), st.integers(), texts)), max_size=4))
-@example([{"field1": "},{"}, {"field1": "}"}, {"field1": "{"}])
-def test_cold_items_are_encoded_as_one_by_one(feed_items):
-    assert httpd._encode_items(feed_items) == [httpd._encode(i) for i in feed_items]
-
-
-def _parse_qs_last(query: str) -> list[tuple[str, str]]:
-    return [(name, values[-1]) for name, values in parse_qs(query).items()]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.text("ab_.=", max_size=3), st.booleans(),
-                          st.text("ab1-=%+ \u00e5", max_size=3)), max_size=5))
-@example([("a", True, "1"), ("a", True, ""), ("b", False, ""), ("", True, "2"), ("a", True, "3")])
-def test_query_params_are_read_as_parse_qs_reads_them(fields):
-    query = "&".join(f"{name}={value}" if eq else name for name, eq, value in fields)
-    assert list(httpd._query_params(query).items()) == _parse_qs_last(query)
+        assert len(memo.by_text) <= 8
+    # the fourth read fills the memo; each poll parses only its new entry
+    assert parsed == [[f'"entry_id":{i}' for i in ids]
+                      for ids in ([1, 2, 3, 4], [20, 21, 22], [5], [30, 31, 32], [6])]
 
 
 # -- the request parser against the stdlib's ---------------------------------
