@@ -7,10 +7,11 @@ on the client behaves identically in either mode.
 
 `HttpServiceClient` reads each reply's head with `httpd.read_head`, under the
 same limits as the server, rather than through the email package. It parses
-feed bodies with `httpd.parse_feeds_body` and a memo of its own, so each feed
-item is parsed once however many polls carry it, and each read still returns
-fresh dicts. A 200 reply that is not UTF-8, or not the body asked for, raises
-ServiceUnavailable, as a service that does not answer does.
+feed bodies with `httpd.parse_feeds_body` and a memo of its own, so a
+repeated request parses only the entries new since its last reply, and each
+read still returns fresh dicts. A 200 reply that is not UTF-8, or not the
+body asked for, raises ServiceUnavailable, as a service that does not answer
+does.
 """
 
 from __future__ import annotations
@@ -133,15 +134,18 @@ class HttpServiceClient:
             raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
         self._conn.response_class = _Response
         # the memo httpd.parse_feeds_body parses feed bodies with
-        self._items = httpd.FeedItems()
+        self._replies = httpd.FeedReplies()
         # The socket goes with the client, as a pooled one would with its pool.
         weakref.finalize(self, self._conn.close)
 
-    def _get(self, path: str, params: dict) -> tuple[int, str]:
-        """GET `path` with the non-None `params`: (status, body as text).
-        A body that is not UTF-8 raises ServiceUnavailable."""
+    def _target(self, path: str, params: dict) -> str:
+        """The request target of `path` with the non-None `params`."""
         query = urlencode({k: v for k, v in params.items() if v is not None})
-        target = f"{self._prefix}{path}?{query}" if query else f"{self._prefix}{path}"
+        return f"{self._prefix}{path}?{query}" if query else f"{self._prefix}{path}"
+
+    def _get(self, target: str) -> tuple[int, str]:
+        """GET `target`: (status, body as text). A body that is not UTF-8
+        raises ServiceUnavailable."""
         conn = self._conn
         try:
             # The server sends nothing unasked, so a readable idle socket
@@ -173,7 +177,7 @@ class HttpServiceClient:
             params[f"field{k}"] = v
         if created_at is not None:
             params["created_at"] = format_timestamp(created_at)
-        status, text = self._get("/update", params)
+        status, text = self._get(self._target("/update", params))
         if status == 401:
             raise AuthError("write key rejected")
         if status == 400:
@@ -205,7 +209,7 @@ class HttpServiceClient:
     def _feed(self, path: str, params: dict, not_found: str) -> dict:
         """GET the feed body at `path`; a 404 raises UnknownChannelError
         saying `not_found`."""
-        status, text = self._get(path, params)
+        status, text = self._get(target := self._target(path, params))
         if status == 404:
             raise UnknownChannelError(not_found)
         if status == 401:
@@ -219,7 +223,7 @@ class HttpServiceClient:
         if status != 200:
             raise ServiceUnavailable(f"unexpected status {status}")
         try:
-            return httpd.parse_feeds_body(text, self._items)
+            return httpd.parse_feeds_body(text, self._replies, target)
         except (ValueError, RecursionError):
             raise self._unexpected(f"{text[:80]!r} for a feed body") from None
 

@@ -23,11 +23,11 @@ more than 2 x MAX_RESULTS texts, `feeds_body` keeps the newest MAX_RESULTS of
 them.
 
 `parse_feeds_body` reads a feed body back, for `HttpServiceClient`: the
-reader's own memo, a `FeedItems`, maps the text of each feed item to the item
-parsed from it, so a steady poll parses only the items new to it, together in
-one parse. The memo holds at most 2 x MAX_RESULTS items, and drops only
-those the latest reads did not have. Any body not laid out as `feeds_body`
-writes it is parsed whole.
+reader's own memo, a `FeedReplies`, keeps the latest reply to each request
+target with its parsed items. A body that repeats the kept reply from one
+of its items on, as a steady poll repeats the one before, reuses those items
+and parses only the rest; any other body is parsed in one parse. The memo
+holds at most 2 x MAX_RESULTS items, and drops the least recently read first.
 
 Requests are read without the email package, which the stdlib's header parser
 goes through and which cost more server CPU than `ChannelService.update`.
@@ -59,7 +59,6 @@ import logging
 import re
 import threading
 import time
-from collections import deque
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
@@ -201,41 +200,31 @@ def feed_doc(page: svc.FeedPage, only_field: int | None = None) -> dict:
     return {"channel": channel_doc(page.channel, only_field), "feeds": feeds}
 
 
-class FeedItems:
-    """The memo `parse_feeds_body` reads feed bodies with: `by_text` maps the
-    text of each feed item, its braces left off, to the item parsed from it.
+class FeedReplies:
+    """The memo `parse_feeds_body` reads feed bodies with: `by_target` holds,
+    by request target, the latest reply read under it whose feeds text is
+    plain (see `_is_plain`), as (body, where its feeds text starts, the items
+    it parsed to), the least recently read first. `items` counts their
+    items, at most 2 x MAX_RESULTS."""
 
-    `reads` holds the items of the latest reads, newest last: as many whole
-    reads as hold at most 2 x MAX_RESULTS items together. Once `by_text`
-    holds more than 2 x MAX_RESULTS items, it keeps only those these reads
-    had. So a poll's items stay for the next poll while the reads from the
-    first on hold at most 2 x MAX_RESULTS items, whatever those reads are,
-    and a steady poll looks each item up in one dict."""
-
-    __slots__ = ("by_text", "reads", "read_items")
+    __slots__ = ("by_target", "items")
 
     def __init__(self) -> None:
-        self.by_text: dict[str, dict] = {}
-        self.reads: deque[list[dict]] = deque()
-        self.read_items = 0             # how many items `reads` holds
+        self.by_target: dict[str, tuple[str, int, list[dict]]] = {}
+        self.items = 0
 
-    def _add(self, items: list[dict], parsed: dict[str, dict]) -> None:
-        """Note a read of `items`, keeping by their text those `parsed` for it."""
-        limit = 2 * svc.MAX_RESULTS
-        if len(items) > limit:
-            items = items[-limit:]
-        reads = self.reads
-        reads.append(items)
-        self.read_items += len(items)
-        while self.read_items > limit:
-            self.read_items -= len(reads.popleft())
-        by_text = self.by_text
-        by_text.update(parsed)
-        if len(by_text) > limit:
-            # each item in by_text is an object of its own, and `reads`
-            # holds it, so its id is no other's
-            used = {id(item) for read in reads for item in read}
-            self.by_text = {piece: item for piece, item in by_text.items() if id(item) in used}
+
+def _is_plain(text: str, start: int, end: int, n: int) -> bool:
+    """Whether text[start:end], the text of n > 0 objects in a JSON array,
+    holds no JSON whitespace, no "[" and exactly n "{".
+
+    Then each "{" opens one of the objects, so none holds an object, a list
+    or a string with a "{" in it, and the objects lie between exactly n - 1
+    "},{", one between each two: a "},{" holds a "{", and with no
+    whitespace each object but the first opens right after a "},".
+    """
+    return (all(text.find(c, start, end) < 0 for c in "[ \n\r\t")
+            and text.count("{", start, end) == n)
 
 
 def _parse_object(text: str) -> dict:
@@ -247,86 +236,88 @@ def _parse_object(text: str) -> dict:
     return doc
 
 
-def _parse_pieces(pieces: list[str]) -> list[dict]:
-    """The object each of `pieces` parses to as `{piece}`, alone and whole,
-    parsed together as one array, `[{P},{P}...]`. Raises ValueError when the
-    text of that array holds JSON whitespace, or is not k objects for k
-    pieces.
+def _overlap(kept: tuple[str, int, list[dict]], text: str, start: int,
+             end: int) -> tuple[list[dict], int] | None:
+    """The items of `kept`, a plain reply, from one on to its last, when the
+    feeds text text[start:end] starts with their text and then ends or goes
+    on with ",{", and where the text after them and that "," starts; else
+    None. They start where kept's feeds text holds the first item of
+    text[start:end], up to its first "},{", if that is at a "{"."""
+    old, old_start, old_items = kept
+    cut = text.find("},{", start, end)
+    at = old.find(text[start:cut + 1 if cut >= 0 else end], old_start, len(old) - 2)
+    rest = old[at:len(old) - 2]
+    over = start + len(rest)
+    if (at < 0 or old[at] != "{" or not text.startswith(rest, start)
+            or not (over == end or text.startswith(",{", over))):
+        return None
+    return old_items[old.count("{", old_start, at):], min(over + 1, end)
 
-    With no whitespace, the k objects lie between k - 1 separators, each a
-    `},{`, and the text holds exactly k - 1 of those, one at each join, since
-    no piece holds one and none can span a join. So each object is one
-    `{piece}`, as parsed alone."""
-    text = "[{" + "},{".join(pieces) + "}]"
-    if " " in text or "\n" in text or "\r" in text or "\t" in text:
-        raise ValueError("JSON whitespace between the pieces")
-    items = json.loads(text)
-    if len(items) != len(pieces) or set(map(type, items)) != {dict}:
-        raise ValueError("not one object per piece")
-    return items
 
-
-def _parse_items(text: str, memo: FeedItems) -> dict:
-    """parse_feeds_body's reading of a body laid out as feeds_body writes it.
-    Raises ValueError for any other text, leaving `memo` as it was."""
-    # I is text[start:end], sliced once: each copy of an 8000-item body took
-    # ~0.5 ms, a tenth of a steady read
+def _read_layout(text: str, kept: tuple[str, int, list[dict]] | None
+                 ) -> tuple[dict, list[dict], tuple[str, int, list[dict]] | None]:
+    """parse_feeds_body's reading of a body laid out as feeds_body writes it:
+    its channel, its items, and the reply to keep, if it is plain. Raises
+    ValueError or RecursionError for any other text."""
     cut = text.find(_FEEDS_CUT)
     if cut < 0 or not (text.startswith(_CHANNEL_HEAD) and text.endswith("]}")):
         raise ValueError("not a feeds_body layout")
     channel = _parse_object(text[len(_CHANNEL_HEAD):cut])
     start, end = cut + len(_FEEDS_CUT), len(text) - 2
-    if start == end:
-        return {"channel": channel, "feeds": []}
-    if text[start] != "{" or text[end - 1] != "}":
-        raise ValueError("not a feeds_body layout")
-    pieces = text[start + 1:end - 1].split("},{")
-    found = list(map(memo.by_text.get, pieces))
-    missing = [i for i, item in enumerate(found) if item is None]
-    parsed: dict[str, dict] = {}
-    if missing:
-        for i, item in zip(missing, _parse_pieces([pieces[i] for i in missing])):
-            found[i] = item
-            piece = pieces[i]
-            # an item kept has no object or list in it, so that its copies
-            # share nothing the caller may change
-            if "{" not in piece and "[" not in piece:
-                parsed[piece] = item
-    memo._add(found, parsed)
-    return {"channel": channel, "feeds": list(map(dict.copy, found))}
+    found = _overlap(kept, text, start, end) if kept else None
+    reused, tail_start = found or ([], start)
+    if tail_start == start:             # the feeds text and its brackets
+        tail = json.loads(text[start - 1:end + 1])
+    elif tail_start < end:
+        tail = json.loads("[" + text[tail_start:end] + "]")
+    else:
+        tail = []
+    if not all(type(item) is dict for item in tail):
+        raise ValueError("not a list of objects")
+    items = reused + tail
+    plain = _is_plain(text, tail_start, end, len(tail)) if tail else bool(reused)
+    return channel, items, (text, start, items) if plain else None
 
 
-def parse_feeds_body(text: str, memo: FeedItems) -> dict:
+def parse_feeds_body(text: str, replies: FeedReplies, target: str) -> dict:
     """The feed doc a feed body `text` holds, equal to `json.loads(text)`, in
     dicts of its own that the caller may change.
 
-    The reader keeps one `memo` across its reads, so each item is parsed
-    once. A body laid out as feeds_body writes it,
-    `{"channel":C,"feeds":[I]}`, is cut at its first `,"feeds":[` and I is
-    split at each `},{`. C must parse alone as one whole JSON object, and so
-    must each piece `memo` lacks, which `_parse_pieces` checks for all of
-    them in one parse; then the body is these texts joined and parses to
-    what they do. A cut inside C, or a split inside a string or a nested
-    value of an item, leaves a proper prefix of an object, which never
-    parses as a whole one, and `memo` holds only pieces that did: such a
-    body, one whose missing pieces hold JSON whitespace, and any other text
-    are parsed whole instead. Only pieces with no `{` or `[` in them are
-    kept.
+    The reader keeps one `replies` across its reads, and names the request
+    each body answers by its `target`. A body laid out as feeds_body writes
+    it, `{"channel":C,"feeds":[F]}`, is cut at its first `,"feeds":[`; C
+    must parse alone as one whole JSON object, so a cut inside C fails. If
+    F starts with the text of the items of the reply kept under `target`
+    from one of them on, and then ends or goes on with `,{`, those items are
+    reused and only the rest of F is parsed, as `[rest]`; else `[F]` is
+    parsed. Either way the body is C and that array, and parses to what
+    they do. The reply is kept when its F is plain (see `_is_plain`), so
+    that each "{" of F starts an item and no item holds a value a caller
+    could change in a copy. Any other body is parsed whole by `json.loads`.
 
     Raises ValueError when `text` is not JSON, or not an object with a
     "channel" object and a "feeds" list of objects, and RecursionError, as
     `json.loads` does, when it nests too deeply to parse.
     """
+    by_target = replies.by_target
+    kept = by_target.pop(target, None)
+    if kept is not None:
+        replies.items -= len(kept[2])
     try:
-        return _parse_items(text, memo)
+        channel, items, reply = _read_layout(text, kept)
     except (ValueError, RecursionError):
-        pass
-    doc = json.loads(text)
-    if not (type(doc) is dict and type(doc.get("channel")) is dict
-            and type(doc.get("feeds")) is list
-            and all(type(item) is dict for item in doc["feeds"])):
-        raise ValueError("not a feed doc")
-    return doc
+        doc = json.loads(text)
+        if not (type(doc) is dict and type(doc.get("channel")) is dict
+                and type(doc.get("feeds")) is list
+                and all(type(item) is dict for item in doc["feeds"])):
+            raise ValueError("not a feed doc")
+        return doc
+    if reply is not None:
+        by_target[target] = reply
+        replies.items += len(items)
+        while replies.items > 2 * svc.MAX_RESULTS:
+            replies.items -= len(by_target.pop(next(iter(by_target)))[2])
+    return {"channel": channel, "feeds": list(map(dict.copy, items))}
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -15,6 +15,7 @@ from datetime import datetime, timedelta, timezone
 from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -581,25 +582,31 @@ def _change(doc: dict) -> None:
     doc["feeds"].append({"changed": True})
 
 
-def _check_reads(bodies: list[str], memo: httpd.FeedItems) -> None:
-    """Read each body with one shared memo: each result is json.loads of the
-    body, or both raise; changing a result changes no later read; and each
-    memo entry is what its text parses to alone."""
-    for body in bodies:
+def _check_reads(reads: list[tuple[str, str]], memo: httpd.FeedReplies) -> None:
+    """Read each (target, body) with one shared memo: each result is
+    json.loads of the body, or both raise; changing a result changes no later
+    read; and after each read, each kept reply is plain, its feeds text
+    parses to its kept items, and all of them hold at most 2 x MAX_RESULTS
+    items."""
+    for target, body in reads:
         try:
             want = json.loads(body)
         except ValueError:
             want = None
         if _is_feed_doc(want):
-            got = httpd.parse_feeds_body(body, memo)
+            got = httpd.parse_feeds_body(body, memo, target)
             assert _same(got, want)
             _change(got)
         else:
             with pytest.raises(ValueError):
-                httpd.parse_feeds_body(body, memo)
-        assert len(memo.by_text) <= 2 * service_module.MAX_RESULTS
-    for piece, item in memo.by_text.items():
-        assert _same(item, json.loads(f"{{{piece}}}"))
+                httpd.parse_feeds_body(body, memo, target)
+        kept = memo.by_target.values()
+        assert memo.items == sum(len(items) for _, _, items in kept)
+        assert memo.items <= 2 * service_module.MAX_RESULTS
+        for text, start, items in kept:
+            end = len(text) - 2
+            assert httpd._is_plain(text, start, end, len(items))
+            assert _same(json.loads(text[start - 1:end + 1]), items)
 
 
 def _feeds_text(inner: str) -> str:
@@ -613,8 +620,11 @@ texts = st.lists(st.one_of(TRICKY, st.text(max_size=3)), max_size=4).map("".join
 scalars = st.one_of(st.none(), texts, st.integers(), st.booleans(), st.floats())
 values = st.one_of(scalars, st.lists(scalars, max_size=2),
                    st.dictionaries(texts, scalars, max_size=2))
-items = st.dictionaries(st.one_of(st.sampled_from(["created_at", "entry_id", "field1"]),
-                                  texts), values, max_size=4)
+keys = st.one_of(st.sampled_from(["created_at", "entry_id", "field1"]), texts)
+items = st.dictionaries(keys, values, max_size=4)
+# items as a feed body carries them, with no "{" or "[" or whitespace in them
+flat_items = st.dictionaries(keys, scalars, max_size=4).filter(
+    lambda item: not any(c in httpd._encode(item)[1:] for c in "{[ \n\r\t"))
 # how a body lays its doc out: as feeds_body does, or as another server might
 LAYOUTS = {
     "wire": httpd._encode,
@@ -628,112 +638,180 @@ LAYOUTS = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(pool=st.lists(items, min_size=1, max_size=5),
+@given(pool=st.lists(flat_items, min_size=1, max_size=5)
+       | st.lists(items, min_size=1, max_size=5),
        channel=st.dictionaries(texts, scalars, max_size=3),
-       reads=st.lists(st.one_of(
-           # pool items laid out, then one span of the body replaced, often
-           # near an end (a negative place counts from the end), or none
-           st.tuples(st.lists(st.integers(0, 9), max_size=6), st.sampled_from(sorted(LAYOUTS)),
+       # each read under one of two targets, so that a read often goes on
+       # from the last one under its target
+       reads=st.lists(st.tuples(st.sampled_from("ab"), st.one_of(
+           # pool items laid out, most often as the wire does, then one span
+           # of the body replaced, often near an end (a negative place counts
+           # from the end), or none. The items are any, or (drop, add): the
+           # last run of items under the target, less `drop` from its front,
+           # and `add` more at its back, as a steady poll reads them
+           st.tuples(st.tuples(st.integers(0, 2), st.integers(1, 3))
+                     | st.lists(st.integers(0, 9), max_size=6),
+                     st.just("wire") | st.sampled_from(sorted(LAYOUTS)),
                      st.none() | st.tuples(st.integers(-12, 12) | st.integers(0, 999),
                                            st.integers(0, 2), TRICKY | st.text(max_size=2))),
-           st.text(), st.lists(st.one_of(TRICKY, st.sampled_from(['{"a":1}', '"a":1', "{}"])),
-                              max_size=5).map("".join).map(_feeds_text)), max_size=6))
+           st.text() | st.lists(st.one_of(TRICKY, st.sampled_from(['{"a":1}', '"a":1', "{}"])),
+                                max_size=5).map("".join).map(_feeds_text))), min_size=2, max_size=6))
 @example(pool=[{"a": "},{"}, {"b": [{"c": 1}, {"d": 2}]}, {}],
          channel={"x": 1, "feeds": [{"a": "},{"}]},
-         reads=[([0, 1, 2, 0], "wire", None), ([2, 1, 0], "wire", None),
-                ([0, 1], "spaced", None), ([], "wire", None)])
+         reads=[("a", ([0, 1, 2, 0], "wire", None)), ("a", ([2, 1, 0], "wire", None)),
+                ("a", ([0, 1], "spaced", None)), ("a", ([], "wire", None))])
 @example(pool=[{"a": [1], "b": {"c": 2}}], channel={},      # nested values, read twice
-         reads=[([0], "wire", None), ([0, 0], "wire", None)])
+         reads=[("a", ([0], "wire", None)), ("a", ([0, 0], "wire", None))])
+@example(pool=[{"a": 1}, {"b": "x"}, {"c": None}], channel={},  # steady polls
+         reads=[("a", ([0, 1], "wire", None)), ("b", ([2], "wire", None)),
+                ("a", ([1, 2], "wire", None)), ("a", ([1, 2], "wire", None)),
+                ("a", ([2, 0], "wire", (-3, 1, "2")))])
 def test_reads_with_one_memo_equal_json_loads(pool, channel, reads):
     bodies = []
-    for read in reads:
+    runs = {"a": [], "b": []}
+    for target, read in reads:
         if isinstance(read, str):
-            bodies.append(read)
+            bodies.append((target, read))
             continue
         indices, layout, edit = read
+        if isinstance(indices, tuple):
+            drop, add = indices
+            run = runs[target]
+            after = run[-1] + 1 if run else 0
+            indices = runs[target] = run[drop:] + list(range(after, after + add))
         body = LAYOUTS[layout]({"channel": channel,
                                 "feeds": [pool[i % len(pool)] for i in indices]})
         if edit is not None:
             at, length, text = edit
             at %= len(body) + 1
             body = body[:at] + text + body[at + length:]
-        bodies.append(body)
+        bodies.append((target, body))
     with mock.patch.object(service_module, "MAX_RESULTS", 2):  # so that the memo fills
-        _check_reads(bodies, httpd.FeedItems())
+        _check_reads(bodies, httpd.FeedReplies())
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.lists(items, max_size=4).map(
-    lambda feed: httpd._encode(feed)[2:-2].split("},{")),   # as the reader splits a body
-    st.lists(st.one_of(TRICKY, texts, st.sampled_from(['"a":1', '"a":{"b":1}', ""])),
-             max_size=4)), max_size=3).map(lambda lists: sum(lists, [])).filter(len))
-@example(['"a":"', '"', '"b":1'])               # a split in a string
-@example(['"a":"', '"}, {"b":1'])               # ... that a spaced join would hide
-@example(['"a":[{"b":1', '"c":2}]'])            # a split in a nested value
-@example(['"a":"x y"', '"b":1'])                # whitespace
-def test_pieces_parse_together_only_as_each_alone(pieces):
+@given(st.one_of(st.lists(items, max_size=4).map(lambda feed: httpd._encode(feed)[1:-1]),
+                 st.lists(st.one_of(TRICKY, texts, st.sampled_from(
+                     ['{"a":1}', '{"a":{"b":1}}', '{"a":"{"}', "{}", ""])), max_size=6
+                          ).map("".join)))
+@example('{"a":1},{"b":"x"}')                   # plain
+@example('{"a":"},{"},{"b":1}')                 # a "},{" in a string
+@example('{"a":{"b":1}},{"c":2}')               # a nested value
+@example('{"a":[{"b":1},{"c":2}]}')
+@example('{"a":"x y"},{"b":1}')                 # whitespace
+@example('{"a":1}, {"b":1}')
+def test_a_plain_text_splits_at_each_separator_into_its_items(text):
     try:
-        want = [json.loads(f"{{{piece}}}") for piece in pieces]
+        items = json.loads(f"[{text}]")
     except ValueError:
-        want = None
-    if want is None or any(c in piece for piece in pieces for c in " \n\r\t"):
-        with pytest.raises(ValueError):
-            httpd._parse_pieces(pieces)
-    else:
-        assert _same(httpd._parse_pieces(pieces), want)
+        return
+    if not items or not all(type(item) is dict for item in items):
+        return
+    if httpd._is_plain(text, 0, len(text), len(items)):
+        pieces = text[1:-1].split("},{")
+        assert len(pieces) == len(items)
+        for piece, item in zip(pieces, items):
+            assert _same(json.loads(f"{{{piece}}}"), item)
 
 
 def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
-    memo = httpd.FeedItems()
+    memo = httpd.FeedReplies()
     bodies = [
         '{"CHANNEL":{},"feeds":[]}',             # not the head feeds_body writes
         '{"channel":{},"feeds":[{"a":1}]]',      # nor the end
         '{"channel":[1],"feeds":[]}',            # C is not an object
         '{"channel":{"a":1}x,"feeds":[]}',       # nor is it one whole object
-        '{"channel":{},"feeds":[1,2]}',          # I does not begin with "{"
-        '{"channel":{},"feeds":[ {"a":1}]}',
+        '{"channel":{},"feeds":[1,2]}',          # F is not all objects
+        '{"channel":{},"feeds":[ {"a":1}]}',     # F holds whitespace
         '{"channel":{},"feeds":[x"a":1}]}',
-        '{"channel":{},"feeds":[{"a":1} ]}',     # nor end with "}"
+        '{"channel":{},"feeds":[{"a":1} ]}',
         '{"channel":{},"feeds":[{"a":1 ]}',
-        '{"channel":{},"feeds":[{"a":1},{"b":2} ,{"c":3}]}',  # a piece not whole
+        '{"channel":{},"feeds":[{"a":1},{"b":2} ,{"c":3}]}',
         '{"channel":{"x":1,"feeds":[1]},"feeds":[{"a":1}]}',  # a cut inside C
-        '{"channel":{},"feeds":[{"a":"},{"},{"b":"x"}]}',     # a split in a string
-        '{"channel":{},"feeds":[{"a":[{"b":1},{"c":2}]}]}',   # and in a nested value
+        '{"channel":{},"feeds":[{"a":"},{"},{"b":"x"}]}',     # a "{" in a string
+        '{"channel":{},"feeds":[{"a":[{"b":1},{"c":2}]}]}',   # nested values
         '{"channel":{},"feeds":[]}x',
         '{"channel":{},"feeds":[]}',
         '{"channel":{},"feeds":{}}',
         '<html>proxy error</html>',
         '',
     ]
-    _check_reads(bodies, memo)
-    assert memo.by_text == {}   # only a body read piece by piece adds to it
-    _check_reads(['{"channel":{},"feeds":[{"a":1},{"b":"x"}]}'], memo)
-    assert sorted(memo.by_text) == ['"a":1', '"b":"x"']
+    _check_reads([("t", body) for body in bodies], memo)
+    assert memo.by_target == {}   # only a plain reply is kept
+    _check_reads([("t", '{"channel":{},"feeds":[{"a":1},{"b":"x"}]}')], memo)
+    assert list(memo.by_target) == ["t"] and memo.items == 2
 
 
-def _count_parses(monkeypatch) -> list[list[str]]:
-    """The pieces each call of httpd._parse_pieces is given, in call order."""
+def _count_parses(monkeypatch) -> list[str]:
+    """The texts httpd gives json.loads, in call order."""
     given = []
-    parse_pieces = httpd._parse_pieces
 
-    def counting(pieces):
-        given.append(pieces)
-        return parse_pieces(pieces)
+    def loads(text):
+        given.append(text)
+        return json.loads(text)
 
-    monkeypatch.setattr(httpd, "_parse_pieces", counting)
+    monkeypatch.setattr(httpd, "json", SimpleNamespace(loads=loads))
     return given
+
+
+# (kept feeds text, new feeds text, what the new one is parsed from), each
+# read under one target
+OVERLAPS = [
+    ('{"id":1},{"id":2}', '{"id":2},{"id":3}', ['[{"id":3}]']),     # a steady poll
+    ('{"id":1},{"id":2}', '{"id":1},{"id":2}', []),                 # a read again
+    ('{"id":1},{"id":2}', '{"id":2}', []),
+    # the probe is also in a string of the kept reply, which is not plain
+    ('{"a":"{\\"id\\":2}{}"},{"id":2}', '{},{"id":3}', ['[{},{"id":3}]']),
+    ('{"a":"{}"},{"id":2}', '{},{"id":3}', ['[{},{"id":3}]']),
+    # the overlap ends inside an item
+    ('{"id":1},{"id":2},{"v":"a"}', '{"id":2},{"v":"b"},{"id":3}',
+     ['[{"id":2},{"v":"b"},{"id":3}]']),
+    ('{"id":1},{"id":2},{"id":3,"v":"a"}', '{"id":2},{"id":3,"v":"ab"}',
+     ['[{"id":2},{"id":3,"v":"ab"}]']),
+    ('{"id":1},{"id":2}', '{"id":2,"v":1},{"id":3}', ['[{"id":2,"v":1},{"id":3}]']),
+    # a new text that is not JSON, though it starts with the kept one's end
+    ('{"id":1},{"id":2}', '{"id":1},{"id":2},',
+     ['[{"id":1},{"id":2},]', _feeds_text('{"id":1},{"id":2},')]),
+    ('{"id":1},{"id":2}', '{"id":1},{"id":2}x{"id":3}',
+     ['[{"id":1},{"id":2}x{"id":3}]', _feeds_text('{"id":1},{"id":2}x{"id":3}')]),
+    ('{"id":1}', '"id":1},{"id":2}', ['["id":1},{"id":2}]', _feeds_text('"id":1},{"id":2}')]),
+    # the new tail holds whitespace or a nested value: read, not kept
+    ('{"id":1}', '{"id":1},{"id": 2}', ['[{"id": 2}]']),
+    ('{"id":1}', '{"id":1},{"id":2,"v":[1]}', ['[{"id":2,"v":[1]}]']),
+    ('{"id":1}', '{"id":1},{"id":2,"v":{"w":1}}', ['[{"id":2,"v":{"w":1}}]']),
+    ('{"id":1}', '{"id":1}, {"id":2}', ['[{"id":1}, {"id":2}]']),
+    # repeated item texts
+    ('{"a":1},{"b":2},{"a":1}', '{"a":1},{"c":3}', ['[{"a":1},{"c":3}]']),
+    ('{"a":1},{"a":1}', '{"a":1},{"a":1},{"a":1}', ['[{"a":1}]']),
+    # a shorter reply that is a prefix of the kept one
+    ('{"id":1},{"id":2},{"id":3}', '{"id":1},{"id":2}', ['[{"id":1},{"id":2}]']),
+    # an empty feed list, kept or new
+    ('{"id":1}', '', ['[]']),
+    ('', '{"id":1}', ['[{"id":1}]']),
+]
+
+
+def test_each_refusal_of_an_overlap_parses_the_new_feeds_whole(monkeypatch):
+    parsed = _count_parses(monkeypatch)
+    for kept, new, want in OVERLAPS:
+        memo = httpd.FeedReplies()
+        _check_reads([("t", _feeds_text(kept))], memo)
+        parsed.clear()
+        _check_reads([("t", _feeds_text(new))], memo)
+        assert parsed == want, (kept, new)
 
 
 def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
     parsed = _count_parses(monkeypatch)
-    memo = httpd.FeedItems()
+    memo = httpd.FeedReplies()
     doc = {"channel": {"id": 1}, "feeds": [{"entry_id": i, "field1": f"{i}.5"}
                                            for i in range(1, 4)]}
-    first = httpd.parse_feeds_body(httpd._encode(doc), memo)
-    assert parsed == [[f'"entry_id":{i},"field1":"{i}.5"' for i in range(1, 4)]]
+    first = httpd.parse_feeds_body(httpd._encode(doc), memo, "poll")
+    assert parsed == [httpd._encode(doc["feeds"])]
     doc["feeds"].append({"entry_id": 4, "field1": None})
-    second = httpd.parse_feeds_body(httpd._encode(doc), memo)
-    assert parsed[1:] == [['"entry_id":4,"field1":null']]
+    second = httpd.parse_feeds_body(httpd._encode(doc), memo, "poll")
+    assert parsed[1:] == ['[{"entry_id":4,"field1":null}]']
     assert first["feeds"] == second["feeds"][:3]
     assert all(a is not b for a, b in zip(first["feeds"], second["feeds"]))
     assert second == doc
@@ -742,14 +820,33 @@ def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
 def test_short_reads_between_polls_leave_the_polls_items_in_the_memo(monkeypatch):
     monkeypatch.setattr(service_module, "MAX_RESULTS", 4)   # the memo holds 8 items
     parsed = _count_parses(monkeypatch)
-    memo = httpd.FeedItems()
-    for ids in ([1, 2, 3, 4], [20, 21, 22], [2, 3, 4, 5], [30, 31, 32], [3, 4, 5, 6]):
-        doc = {"channel": {}, "feeds": [{"entry_id": i} for i in ids]}
-        assert httpd.parse_feeds_body(httpd._encode(doc), memo) == doc
-        assert len(memo.by_text) <= 8
-    # the fourth read fills the memo; each poll parses only its new entry
-    assert parsed == [[f'"entry_id":{i}' for i in ids]
-                      for ids in ([1, 2, 3, 4], [20, 21, 22], [5], [30, 31, 32], [6])]
+    memo = httpd.FeedReplies()
+    polls = []
+    for r in range(4):  # a poll of 4 entries, then a table, a plot and a new window
+        ids = list(range(r + 1, r + 5))
+        for target, read in (("poll", ids), ("table", ids[-1:]), ("plot", ids[-1:]),
+                             (f"window{r}", [20 + 2 * r, 21 + 2 * r])):
+            doc = {"channel": {}, "feeds": [{"entry_id": i} for i in read]}
+            parsed.clear()
+            assert httpd.parse_feeds_body(httpd._encode(doc), memo, target) == doc
+            assert memo.items <= 8
+            if target == "poll":
+                polls.append(parsed[:])
+        assert "poll" in memo.by_target
+    # from the second round on, a window read fills the memo; each poll
+    # parses only its new entry
+    assert polls == [[httpd._encode([{"entry_id": i} for i in range(1, 5)])],
+                     ['[{"entry_id":5}]'], ['[{"entry_id":6}]'], ['[{"entry_id":7}]']]
+
+
+def test_a_thousand_window_targets_keep_at_most_2_x_max_results_items(monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_RESULTS", 4)
+    memo = httpd.FeedReplies()
+    for i in range(1000):   # 0 to 3 entries a window, each under its own target
+        doc = {"channel": {}, "feeds": [{"entry_id": 4 * i + k} for k in range(i % 4)]}
+        assert httpd.parse_feeds_body(httpd._encode(doc), memo, f"window{i}") == doc
+        assert memo.items == sum(len(items) for _, _, items in memo.by_target.values()) <= 8
+    assert len(memo.by_target) <= 8
 
 
 # -- the request parser against the stdlib's ---------------------------------
