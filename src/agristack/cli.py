@@ -19,13 +19,14 @@ from .client import (HttpServiceClient, LocalServiceClient, RateLimited,
                      ServiceUnavailable)
 from .envsim import ScenarioError, resolve_scenario
 from .gateway import fields_to_reading
-from .service import (MAX_RESULTS, AuthError, BadRequestError, ChannelService,
-                      CorruptStateError, UnknownChannelError, format_timestamp,
-                      parse_timestamp)
+from .service import (DEFAULT_RATE_LIMIT_S, MAX_RESULTS, AuthError, BadRequestError,
+                      ChannelService, CorruptStateError, UnknownChannelError,
+                      format_timestamp, parse_timestamp)
 from .storelog import CorruptLogError
 
 DEFAULT_ENDPOINT = "http://127.0.0.1:8266"
 DEFAULT_WRITE_KEY = "FIELDSTATIONKEY1"  # dev convenience; override in real use
+DEFAULT_CHANNEL_NAME = "field-station"
 DEFAULT_FIELD_LABELS = [s.label for s in sensors.SENSORS]
 
 # `table` shows the sensors in this order, after the time column
@@ -101,11 +102,11 @@ def _terminate(signum, frame):
 @click.option("--port", default=8266, show_default=True)
 @click.option("--data-dir", default="./channel_data", show_default=True,
               help="Persistence directory (append-only logs + registry).")
-@click.option("--rate-limit", default=15.0, show_default=True,
+@click.option("--rate-limit", default=DEFAULT_RATE_LIMIT_S, show_default=True,
               help="Minimum seconds between accepted writes per channel.")
 @click.option("--write-key", default=DEFAULT_WRITE_KEY, show_default=True)
 @click.option("--read-key", default=None)
-@click.option("--name", default="field-station", show_default=True)
+@click.option("--name", default=DEFAULT_CHANNEL_NAME, show_default=True)
 def serve(host, port, data_dir, rate_limit, write_key, read_key, name):
     """Start the channel service and block until SIGINT or SIGTERM, then
     close it."""
@@ -177,7 +178,7 @@ def run(endpoint, channel, scenario, speed, write_key, data_dir, duty_cycle, epo
     else:
         service = ChannelService(data_dir=data_dir, fsync=False)
         if not service.channels():
-            service.create_channel("field-station", DEFAULT_FIELD_LABELS,
+            service.create_channel(DEFAULT_CHANNEL_NAME, DEFAULT_FIELD_LABELS,
                                    write_key=write_key, rate_limit_s=0.0)
         client = LocalServiceClient(service, write_key=write_key)
 

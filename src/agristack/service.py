@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import re
 import secrets
 import threading
@@ -45,7 +44,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .storelog import RecordLog, fsync_directory
+from .storelog import RecordLog, replace_file
 
 logger = logging.getLogger(__name__)
 
@@ -288,10 +287,12 @@ class ChannelService:
             if key in self._by_write_key:
                 raise ValueError("write_key already in use")
             meta = Channel(cid, name, key, dict(fields), read_key, rate_limit_s)
-            state = _ChannelState(meta=meta, log=self._open_log(cid))
-            self._channels[cid] = state
+            if self.data_dir is not None:   # a channel takes writes once the registry names it
+                metas = [vars(s.meta) for s in self._channels.values()] + [vars(meta)]
+                replace_file(self._registry_path(),
+                             [json.dumps({"channels": metas}).encode()], self.fsync)
+            self._channels[cid] = _ChannelState(meta=meta, log=self._open_log(cid))
             self._by_write_key[key] = cid
-            self._save_registry()
             return meta
 
     def channels(self) -> list[Channel]:
@@ -385,22 +386,6 @@ class ChannelService:
 
     def _snapshot_path(self, channel_id: int) -> Path:
         return self.data_dir / f"channel_{channel_id}.snap"
-
-    def _save_registry(self) -> None:
-        if self.data_dir is None:
-            return
-        # json.dumps with no indent, as json.dump never uses the C encoder:
-        # each create_channel rewrites the whole registry
-        payload = {"channels": [vars(s.meta) for s in self._channels.values()]}
-        tmp = self._registry_path().with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
-            if self.fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        tmp.replace(self._registry_path())
-        if self.fsync:
-            fsync_directory(self.data_dir)  # makes the rename durable
 
     def _recover(self) -> None:
         """Rebuild state from channels.json plus each channel's entry log."""
@@ -559,32 +544,22 @@ def _write_snapshot(path: Path, length: int, crc: int, times: list[str],
     each _DECODE_CHUNK entries, a line of their created_at texts separated by
     spaces and a line of one JSON object that maps each field name to the
     chunk's slice of that column; then the crc32 of all the lines before it,
-    in hex. It is written under a temporary name and renamed over `path`;
-    with `fsync`, the file and then the rename are made durable.
+    in hex. storelog.replace_file writes it all or nothing, taking each part
+    as it is made, so the whole file is never held at once.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    header = b"%s %d %d %d\n" % (_SNAP_MAGIC, length, crc, len(times))
-    chunks = ((" ".join(times[i:i + _DECODE_CHUNK]) + "\n"
-               + json.dumps({name: column[i:i + _DECODE_CHUNK]
-                             for name, column in columns.items()}, separators=(",", ":"))
-               + "\n").encode()
-              for i in range(0, len(times), _DECODE_CHUNK))
-    try:
-        with open(tmp, "wb") as fh:
-            body_crc = 0
-            for data in chain([header], chunks):
-                fh.write(data)
-                body_crc = zlib.crc32(data, body_crc)
-            fh.write(b"%08x\n" % body_crc)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    if fsync:
-        fsync_directory(path.parent)
+    def lines():
+        header = b"%s %d %d %d\n" % (_SNAP_MAGIC, length, crc, len(times))
+        body_crc = zlib.crc32(header)
+        yield header
+        for i in range(0, len(times), _DECODE_CHUNK):
+            line = (" ".join(times[i:i + _DECODE_CHUNK]) + "\n"
+                    + json.dumps({name: column[i:i + _DECODE_CHUNK]
+                                  for name, column in columns.items()},
+                                 separators=(",", ":")) + "\n").encode()
+            body_crc = zlib.crc32(line, body_crc)
+            yield line
+        yield b"%08x\n" % body_crc
+    replace_file(path, lines(), fsync)
 
 
 def _load_snapshot(path: Path, log: RecordLog

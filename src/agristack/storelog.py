@@ -8,6 +8,8 @@ tolerates a torn trailing record, which is discarded and physically truncated
 away; a corrupt record anywhere else aborts recovery with its byte offset.
 Replay can start after a prefix of the file that the caller has checked
 against a crc32 it kept (see `covered`), and read only the records after it.
+Every fsync, rename and truncation of a data dir is made in this module; a
+whole file, such as the registry or a snapshot, is written by `replace_file`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
+from typing import Iterable
 
 _HEADER = struct.Struct(">II")
 MAX_RECORD_BYTES = 1 << 20
@@ -38,6 +41,27 @@ def fsync_directory(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def replace_file(path: Path, chunks: Iterable[bytes], fsync: bool) -> None:
+    """Make `path` hold the bytes of `chunks`, all or nothing: write them to
+    `path.name + ".tmp"` and rename that over `path`; with `fsync`, make the
+    file and then the rename durable. On any failure the temporary file is
+    removed, and `path` holds its old bytes, or the new ones once renamed."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if fsync:
+        fsync_directory(path.parent)
 
 
 class RecordLog:

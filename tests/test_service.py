@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -276,8 +277,7 @@ def test_recovery_refuses_corrupt_interior_record(tmp_path, clock):
 
 
 class InjectedFaults:
-    """Stands in for the `os` of storelog or service and, by `open_file`,
-    their `open`.
+    """Stands in for storelog's `os` and, by `open_file`, its `open`.
 
     Numbers each write, flush, fsync and rename made while `armed`, and
     fails number `fail_at` in the way `how` says: "raise" before any byte,
@@ -453,6 +453,82 @@ def test_registry_round_trip_keeps_every_channel_value(tmp_path, clock):
     revived = ChannelService(data_dir=tmp_path, clock=clock, fsync=False)
     assert revived.channels() == REGISTRY_CHANNELS
     revived.close()
+
+
+# channels.json for REGISTRY_CHANNELS as written before storelog.replace_file
+# wrote it (commit 24d2c39)
+PINNED_REGISTRY = (
+    b'{"channels": [{"id": 1, "name": "station", "write_key": "FIELDSTATIONKEY1",'
+    b' "fields": {"1": "Temperature", "3": "Moisture"}, "read_key": "READKEY123456789",'
+    b' "rate_limit_s": 7.5}, {"id": 2, "name": "open", "write_key": "OPENCHANNELKEY02",'
+    b' "fields": {"1": "Temperature", "2": "Pressure"}, "read_key": null,'
+    b' "rate_limit_s": 15.0}]}')
+
+
+def test_registry_keeps_its_pinned_bytes(tmp_path, clock):
+    service = ChannelService(data_dir=tmp_path, clock=clock, fsync=True)
+    for ch in REGISTRY_CHANNELS:
+        service.create_channel(ch.name, ch.fields, write_key=ch.write_key,
+                               read_key=ch.read_key, rate_limit_s=ch.rate_limit_s)
+    assert (tmp_path / "channels.json").read_bytes() == PINNED_REGISTRY
+    service.close()
+
+
+SECOND_KEY = "TESTWRITEKEY0002"
+
+
+def create_under_faults(data_dir, faults, monkeypatch):
+    """A fsynced service on `data_dir` whose channel 1 holds one entry, after
+    an attempt to create channel 2 with `faults` in place, and whether that
+    attempt raised."""
+    service = ChannelService(data_dir=data_dir, fsync=True)
+    service.create_channel("c", FIELD_LABELS, write_key=WRITE_KEY, rate_limit_s=0.0)
+    assert service.update(WRITE_KEY, {1: "1.5"}) == 1
+    with monkeypatch.context() as m:
+        m.setattr(storelog, "open", faults.open_file, raising=False)
+        m.setattr(storelog, "os", faults)
+        try:
+            service.create_channel("d", FIELD_LABELS, write_key=SECOND_KEY, rate_limit_s=0.0)
+        except OSError:
+            return service, True
+    return service, False
+
+
+def test_a_failed_create_stores_no_channel_and_takes_no_write(tmp_path, monkeypatch):
+    clean = InjectedFaults()
+    service, raised = create_under_faults(tmp_path / "clean", clean, monkeypatch)
+    service.close()
+    assert not raised
+    # the temp file's write, flush and fsync, the rename, the directory's fsync
+    assert clean.points == ["write", "flush", "fsync", "rename", "fsync"]
+    for n, point in enumerate(clean.points, start=1):
+        data_dir = tmp_path / str(n)
+        service, raised = create_under_faults(data_dir, InjectedFaults(n), monkeypatch)
+        try:
+            assert raised, point
+            with pytest.raises(AuthError):
+                service.update(SECOND_KEY, {1: "2.5"})
+            # no temporary file is left
+            assert sorted(p.name for p in data_dir.iterdir()) == [
+                "channel_1.log", "channels.json"], point
+            # a restart now finds channel 2 only if the rename held
+            copy = tmp_path / f"{n}-restart"
+            shutil.copytree(data_dir, copy)
+            revived = ChannelService(data_dir=copy, fsync=False)
+            assert [c.id for c in revived.channels()] == (
+                [1, 2] if n == len(clean.points) else [1]), point
+            assert feeds(revived.read_feeds(1))[0]["field1"] == "1.5"
+            revived.close()
+            # the failed create used up no id
+            assert service.create_channel("d", FIELD_LABELS, write_key=SECOND_KEY,
+                                          rate_limit_s=0.0).id == 2, point
+            assert service.update(SECOND_KEY, {1: "2.5"}) == 1
+        finally:
+            service.close()
+        revived = ChannelService(data_dir=data_dir, fsync=False)
+        assert [c.id for c in revived.channels()] == [1, 2], point
+        assert feeds(revived.read_feeds(2))[0]["field1"] == "2.5", point
+        revived.close()
 
 
 def _record_fsyncs(monkeypatch, registry):

@@ -375,9 +375,8 @@ def test_every_refusal_of_a_bad_log_holds_with_a_snapshot_present(tmp_path, spoi
 
 def close_under_faults(service, faults, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(service_module, "open", faults.open_file, raising=False)
-        m.setattr(service_module, "os", faults)
-        m.setattr(storelog, "os", faults)       # the directory fsync
+        m.setattr(storelog, "open", faults.open_file, raising=False)
+        m.setattr(storelog, "os", faults)
         service.close()
 
 
@@ -416,6 +415,22 @@ def test_close_closes_every_log_when_a_snapshot_write_fails(tmp_path, monkeypatc
     assert "channel 1: snapshot not written: " in caplog.text
     assert not (tmp_path / SNAP).exists()
     assert (tmp_path / "channel_2.snap").exists()
+
+
+# written by close before storelog.replace_file wrote snapshots (commit 24d2c39)
+PINNED_SNAPSHOT = Path(__file__).with_name("golden") / SNAP
+
+
+def test_a_snapshot_keeps_its_pinned_bytes(tmp_path):
+    """Two chunks of entries, and a column, field 2's, that entry 2 starts."""
+    service, _ = new_service(tmp_path)
+    for i in range(1, 301):
+        at, values = entry_at(i)
+        if i > 1:
+            values[2] = f"-{i}"
+        assert service.update(WRITE_KEY, values, at) == i
+    service.close()
+    assert (tmp_path / SNAP).read_bytes() == PINNED_SNAPSHOT.read_bytes()
 
 
 def test_a_fenced_log_gets_no_snapshot(tmp_path, monkeypatch):

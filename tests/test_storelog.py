@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import errno
 import os
 import stat
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +246,34 @@ def test_covered_vouches_only_for_bytes_the_log_read_or_wrote(tmp_path):
     other.close()
     data = log.path.read_bytes()
     assert other.covered() == (len(data), zlib.crc32(data))
+
+
+# what makes a data dir's files and renames durable, or cuts a log back
+_DURABILITY_CALLS = {"os.fsync", "os.replace", "os.ftruncate", "fsync_directory",
+                     "storelog.fsync_directory"}
+
+
+def _durability_calls(source: str) -> set[str]:
+    """The names of _DURABILITY_CALLS that `source` calls or imports from os."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(f"os.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            found.add(node.func.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)):
+            found.add(f"{node.func.value.id}.{node.func.attr}")
+    return found & _DURABILITY_CALLS
+
+
+def test_only_storelog_syncs_renames_or_truncates():
+    """Every fsync, rename and truncation of a data dir is made in storelog,
+    the one module the fault tests patch."""
+    own = Path(storelog.__file__)
+    assert _durability_calls(own.read_text(encoding="utf-8")) == {
+        "os.fsync", "os.replace", "os.ftruncate", "fsync_directory"}
+    found = {str(path.relative_to(own.parent)): calls
+             for path in sorted(own.parent.rglob("*.py")) if path != own
+             if (calls := _durability_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}
