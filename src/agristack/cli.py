@@ -317,7 +317,7 @@ def _entry_to_reading(entry: dict):
 
 @cli.command("watch-alerts")
 @_shared_flags("endpoint", "channel", "rules")
-@click.option("--poll", default=2.0, show_default=True,
+@click.option("--poll", default=2.0, type=click.FloatRange(min=0), show_default=True,
               help="Seconds between feed polls.")
 @click.option("--max-polls", default=None, type=int,
               help="Stop after this many polls (default: run forever).")

@@ -5,9 +5,9 @@ ChannelService in-process. Both return the same documents for the same reads,
 the dicts a feed body parses to, and raise the same errors, so anything built
 on the client behaves identically in either mode.
 
-`HttpServiceClient` reads each reply's head with `httpd.read_head`, under the
+`HttpServiceClient` reads each reply's head with `wire.read_head`, under the
 same limits as the server, rather than through the email package. It parses
-feed bodies with `httpd.parse_feeds_body` and a memo of its own, so a
+feed bodies with `wire.parse_feeds_body` and a memo of its own, so a
 repeated request parses only the entries new since its last reply, and each
 read still returns fresh dicts. A 200 reply that is not UTF-8, or not the
 body asked for, raises ServiceUnavailable, as a service that does not answer
@@ -27,7 +27,7 @@ from typing import Mapping
 from urllib.parse import unquote, urlencode, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-from . import httpd
+from . import wire
 from .service import (AuthError, BadRequestError, ChannelService,
                       UnknownChannelError, format_timestamp, parse_timestamp)
 
@@ -68,7 +68,7 @@ def _connection(endpoint: str) -> tuple[HTTPConnection, str, dict[str, str]]:
 
 
 class _Response(HTTPResponse):
-    """An HTTPResponse whose head `httpd.read_head` reads; every 1xx interim
+    """An HTTPResponse whose head `wire.read_head` reads; every 1xx interim
     reply before it is skipped.
 
     `headers` and `msg` are that dict, by lowercase name, so `getheader` and
@@ -83,7 +83,7 @@ class _Response(HTTPResponse):
             version, status, reason = self._read_status()
             if not 100 <= status < 200:
                 break
-            httpd.read_head(self.fp)  # an interim reply's head
+            wire.read_head(self.fp)  # an interim reply's head
         self.code = self.status = status
         self.reason = reason.strip()
         if version in ("HTTP/1.0", "HTTP/0.9"):
@@ -92,7 +92,7 @@ class _Response(HTTPResponse):
             self.version = 11
         else:
             raise UnknownProtocol(version)
-        self.headers = self.msg = headers = httpd.read_head(self.fp)
+        self.headers = self.msg = headers = wire.read_head(self.fp)
         self.chunked = headers.get("transfer-encoding", "").lower() == "chunked"
         self.chunk_left = None
         self.will_close = self._check_close()
@@ -133,8 +133,8 @@ class HttpServiceClient:
         except ValueError as exc:  # includes a port that is not a number in range
             raise ServiceUnavailable(f"bad endpoint {endpoint!r}: {exc}") from None
         self._conn.response_class = _Response
-        # the memo httpd.parse_feeds_body parses feed bodies with
-        self._replies = httpd.FeedReplies()
+        # the memo wire.parse_feeds_body parses feed bodies with
+        self._replies = wire.FeedReplies()
         # The socket goes with the client, as a pooled one would with its pool.
         weakref.finalize(self, self._conn.close)
 
@@ -223,7 +223,7 @@ class HttpServiceClient:
         if status != 200:
             raise ServiceUnavailable(f"unexpected status {status}")
         try:
-            return httpd.parse_feeds_body(text, self._replies, target)
+            return wire.parse_feeds_body(text, self._replies, target)
         except (ValueError, RecursionError):
             raise self._unexpected(f"{text[:80]!r} for a feed body") from None
 
@@ -231,7 +231,7 @@ class HttpServiceClient:
 class LocalServiceClient:
     """Same surface as HttpServiceClient, against an in-process service.
 
-    A read returns the document `httpd.feed_doc` builds from the service's
+    A read returns the document `wire.feed_doc` builds from the service's
     page, equal to the one the HTTP client parses from the wire body, with no
     JSON rendered or parsed on the way.
     """
@@ -257,10 +257,10 @@ class LocalServiceClient:
             end=parse_timestamp(end) if end else None,
             read_key=self.read_key,
         )
-        return httpd.feed_doc(page)
+        return wire.feed_doc(page)
 
     def read_field(self, channel_id: int, field_index: int,
                    results: int | None = None) -> dict:
         page = self.service.read_feeds(channel_id, results=results,
                                        read_key=self.read_key)
-        return httpd.feed_doc(page, only_field=field_index)
+        return wire.feed_doc(page, only_field=field_index)

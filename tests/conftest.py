@@ -69,7 +69,7 @@ class HttpSession:
     """GETs over one keep-alive connection to the server a first URL names.
 
     Replies are read by http.client, a client independent of the server's
-    own header reader (httpd.read_head).
+    own header reader (wire.read_head).
     """
 
     def __init__(self, timeout: float = 5):

@@ -20,9 +20,10 @@ from agristack.analytics import (HIGH_TEMP_MESSAGE, AlertRule, DutyCycleConfig,
 from agristack.cli import main as cli_main
 from agristack.client import LocalServiceClient
 from agristack.envsim import ScenarioSpec, parse_scenario, simulate
-from agristack.httpd import ChannelHttpServer, feed_doc
+from agristack.httpd import ChannelHttpServer
 from agristack.pipeline import run_pipeline
 from agristack.service import ChannelService, parse_timestamp
+from agristack.wire import feed_doc
 from tests.conftest import FIELD_LABELS, WRITE_KEY, http_get
 from tests.test_analytics import series_of
 from tests.test_httpd import GOLDEN_FEEDS_BODY, write_golden_entries

@@ -236,6 +236,16 @@ def test_watch_alerts_retries_after_a_reply_that_is_not_a_feed_body(capsys, monk
     assert out == ""
 
 
+def test_watch_alerts_negative_poll_is_usage_error_before_any_read(capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(HttpServiceClient, "read_feeds",
+                        lambda self, *args, **kwargs: reads.append(args) or {"feeds": []})
+    code, _, err = run_cli(capsys, "watch-alerts", "--poll", "-1")
+    assert code == 1
+    assert "--poll" in err
+    assert reads == []
+
+
 def test_watch_alerts_quiet_on_normal_stream(http_server, capsys):
     seed_entries(http_server, BASIC_ROWS)
     code, out, _ = run_cli(capsys, "watch-alerts", "--endpoint",

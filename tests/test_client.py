@@ -2,6 +2,7 @@
 connection's life, error mapping, and what the runtime imports."""
 from __future__ import annotations
 
+import ast
 import copy
 import http.client
 import os
@@ -281,6 +282,49 @@ def test_runtime_imports_no_requests():
     src = Path(agristack.__file__).resolve().parents[1]
     code = ("import sys, agristack, agristack.cli, agristack.client; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+SERVER_MODULES = {"http.server", "socketserver", "agristack.httpd"}
+
+
+def _imports(path: Path) -> set[str]:
+    """The modules the source at `path` imports, each name a `from` import
+    takes also as a module of its own; a relative import is of agristack."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["agristack" if node.level else None,
+                                            node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_client_and_the_wire_codec_import_no_server():
+    package = Path(agristack.__file__).parent
+    # the scan sees a server import where there is one
+    assert "agristack.httpd" in _imports(package / "cli.py")
+    assert {"http.server", "agristack.wire.feeds_body"} <= _imports(package / "httpd.py")
+    for name in ("client.py", "wire.py"):
+        assert _imports(package / name) & SERVER_MODULES == set(), name
+    # wire is a leaf: it imports service and the stdlib alone
+    tops = {module.split(".")[0] for module in _imports(package / "wire.py")}
+    assert tops - {"agristack"} <= sys.stdlib_module_names | {"__future__"}
+    assert {m for m in _imports(package / "wire.py") if m.startswith("agristack")} == {
+        "agristack", "agristack.service"}
+
+
+
+def test_importing_the_library_and_its_client_loads_no_server():
+    src = Path(agristack.__file__).resolve().parents[1]
+    code = ("import sys, agristack, agristack.client; "
+            f"print(sorted({sorted(SERVER_MODULES)!r} & sys.modules.keys()))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr

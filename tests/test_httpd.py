@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from agristack import httpd, storelog
+from agristack import httpd, storelog, wire
 from agristack.httpd import ChannelHttpServer
 from agristack import service as service_module
 from agristack.client import HttpServiceClient, ServiceUnavailable
@@ -353,9 +353,9 @@ def test_recovered_values_that_need_escaping_render_as_json_dumps(tmp_path):
         memo: dict[int, str] = {}
         for only_field in (None, None, 1, 2):  # the second full read is memoized
             page = revived.read_feeds(1)
-            body = httpd.feeds_body(page, only_field, memo)
+            body = wire.feeds_body(page, only_field, memo)
             assert body == reference_feeds_body(page.channel, entries, only_field)
-            assert httpd.feed_doc(page, only_field) == json.loads(body)
+            assert wire.feed_doc(page, only_field) == json.loads(body)
             assert json.loads(body)["feeds"][0].get("field1", "1\n") == "1\n"
     finally:
         revived.close()
@@ -386,9 +386,9 @@ def test_recovered_values_of_any_text_render_as_json_dumps(rows):
                 memo: dict[int, str] = {}
                 for only_field in (None, None, 1, 2, 3):  # the second full read is memoized
                     page = revived.read_feeds(1)
-                    body = httpd.feeds_body(page, only_field, memo)
+                    body = wire.feeds_body(page, only_field, memo)
                     assert body == reference_feeds_body(page.channel, entries, only_field)
-                    assert httpd.feed_doc(page, only_field) == json.loads(body)
+                    assert wire.feed_doc(page, only_field) == json.loads(body)
             finally:
                 revived.close()
         assert (Path(tmp) / "channel_1.snap").exists()
@@ -423,27 +423,27 @@ def test_feeds_body_matches_reference_rendering(declared, rows, results):
     for only_field in [None, *sorted(declared)]:
         for _ in range(2):  # the second full read comes from the memo
             page = service.read_feeds(1, results=results)
-            body = httpd.feeds_body(page, only_field, memo)
+            body = wire.feeds_body(page, only_field, memo)
             assert body == reference_feeds_body(channel, want, only_field)
-            assert httpd.feed_doc(page, only_field) == json.loads(body)
+            assert wire.feed_doc(page, only_field) == json.loads(body)
     for undeclared in sorted(set(range(1, 9)) - declared)[:1]:
         page = service.read_feeds(1, results=results)
         with pytest.raises(UnknownChannelError, match=f"channel has no field {undeclared}"):
-            httpd.feeds_body(page, undeclared, memo)
+            wire.feeds_body(page, undeclared, memo)
         with pytest.raises(UnknownChannelError, match=f"channel has no field {undeclared}"):
-            httpd.feed_doc(page, undeclared)
+            wire.feed_doc(page, undeclared)
 
 
 def test_feed_doc_is_built_afresh_for_each_read(memory_service):
     memory_service.update(WRITE_KEY, {1: "22.04", 3: "30.00"})
-    first = httpd.feed_doc(memory_service.read_feeds(1))
+    first = wire.feed_doc(memory_service.read_feeds(1))
     want = json.loads(json.dumps(first))
     first["channel"]["field1"] = "x"
     first["feeds"][0]["field1"] = "x"
     first["feeds"].append({})
     page = memory_service.read_feeds(1)
-    assert httpd.feed_doc(page) == want
-    assert json.loads(httpd.feeds_body(page, None, {})) == want
+    assert wire.feed_doc(page) == want
+    assert json.loads(wire.feeds_body(page, None, {})) == want
 
 
 # -- the per-channel memo of entry texts --------------------------------------
@@ -474,14 +474,14 @@ def test_each_entry_is_rendered_once_across_polls(memory_service, http_server,
     for i in range(50):
         memory_service.update(WRITE_KEY, {1: f"{i}.5", 4: "0"})
     encoded = []
-    encode = httpd._encode
+    encode = wire._encode
 
     def counting_encode(doc):
         if "entry_id" in doc:  # a feed item, not a channel header or a body
             encoded.append(doc["entry_id"])
         return encode(doc)
 
-    monkeypatch.setattr(httpd, "_encode", counting_encode)
+    monkeypatch.setattr(wire, "_encode", counting_encode)
     given = memos_given(monkeypatch)
     first = poll(http_server, results=40)
     second = poll(http_server, results=40)
@@ -519,7 +519,7 @@ def test_sweeps_racing_polls_leave_each_body_whole(memory_service, monkeypatch):
         for i in range(offset, 200, 7):
             page = memory_service.read_feeds(1, end=at(i))
             try:
-                if json.loads(httpd.feeds_body(page, None, memo)) != httpd.feed_doc(page):
+                if json.loads(wire.feeds_body(page, None, memo)) != wire.feed_doc(page):
                     problems.append(f"body of the poll up to {i} differs")
             except Exception as exc:  # a thread's error would not fail the test
                 problems.append(repr(exc))
@@ -582,7 +582,7 @@ def _change(doc: dict) -> None:
     doc["feeds"].append({"changed": True})
 
 
-def _check_reads(reads: list[tuple[str, str]], memo: httpd.FeedReplies) -> None:
+def _check_reads(reads: list[tuple[str, str]], memo: wire.FeedReplies) -> None:
     """Read each (target, body) with one shared memo: each result is
     json.loads of the body, or both raise; changing a result changes no later
     read; and after each read, each kept reply is plain, its feeds text
@@ -594,18 +594,18 @@ def _check_reads(reads: list[tuple[str, str]], memo: httpd.FeedReplies) -> None:
         except ValueError:
             want = None
         if _is_feed_doc(want):
-            got = httpd.parse_feeds_body(body, memo, target)
+            got = wire.parse_feeds_body(body, memo, target)
             assert _same(got, want)
             _change(got)
         else:
             with pytest.raises(ValueError):
-                httpd.parse_feeds_body(body, memo, target)
+                wire.parse_feeds_body(body, memo, target)
         kept = memo.by_target.values()
         assert memo.items == sum(len(items) for _, _, items in kept)
         assert memo.items <= 2 * service_module.MAX_RESULTS
         for text, start, items in kept:
             end = len(text) - 2
-            assert httpd._is_plain(text, start, end, len(items))
+            assert wire._is_plain(text, start, end, len(items))
             assert _same(json.loads(text[start - 1:end + 1]), items)
 
 
@@ -624,15 +624,15 @@ keys = st.one_of(st.sampled_from(["created_at", "entry_id", "field1"]), texts)
 items = st.dictionaries(keys, values, max_size=4)
 # items as a feed body carries them, with no "{" or "[" or whitespace in them
 flat_items = st.dictionaries(keys, scalars, max_size=4).filter(
-    lambda item: not any(c in httpd._encode(item)[1:] for c in "{[ \n\r\t"))
+    lambda item: not any(c in wire._encode(item)[1:] for c in "{[ \n\r\t"))
 # how a body lays its doc out: as feeds_body does, or as another server might
 LAYOUTS = {
-    "wire": httpd._encode,
+    "wire": wire._encode,
     "spaced": json.dumps,                       # "}, {" between items
     "indented": lambda doc: json.dumps(doc, indent=1),
     "unescaped": lambda doc: json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
     "sorted": lambda doc: json.dumps(doc, separators=(",", ":"), sort_keys=True),
-    "feeds-first": lambda doc: httpd._encode({"feeds": doc["feeds"],
+    "feeds-first": lambda doc: wire._encode({"feeds": doc["feeds"],
                                               "channel": doc["channel"]}),
 }
 
@@ -687,11 +687,11 @@ def test_reads_with_one_memo_equal_json_loads(pool, channel, reads):
             body = body[:at] + text + body[at + length:]
         bodies.append((target, body))
     with mock.patch.object(service_module, "MAX_RESULTS", 2):  # so that the memo fills
-        _check_reads(bodies, httpd.FeedReplies())
+        _check_reads(bodies, wire.FeedReplies())
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.lists(items, max_size=4).map(lambda feed: httpd._encode(feed)[1:-1]),
+@given(st.one_of(st.lists(items, max_size=4).map(lambda feed: wire._encode(feed)[1:-1]),
                  st.lists(st.one_of(TRICKY, texts, st.sampled_from(
                      ['{"a":1}', '{"a":{"b":1}}', '{"a":"{"}', "{}", ""])), max_size=6
                           ).map("".join)))
@@ -708,7 +708,7 @@ def test_a_plain_text_splits_at_each_separator_into_its_items(text):
         return
     if not items or not all(type(item) is dict for item in items):
         return
-    if httpd._is_plain(text, 0, len(text), len(items)):
+    if wire._is_plain(text, 0, len(text), len(items)):
         pieces = text[1:-1].split("},{")
         assert len(pieces) == len(items)
         for piece, item in zip(pieces, items):
@@ -716,7 +716,7 @@ def test_a_plain_text_splits_at_each_separator_into_its_items(text):
 
 
 def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
-    memo = httpd.FeedReplies()
+    memo = wire.FeedReplies()
     bodies = [
         '{"CHANNEL":{},"feeds":[]}',             # not the head feeds_body writes
         '{"channel":{},"feeds":[{"a":1}]]',      # nor the end
@@ -744,14 +744,14 @@ def test_each_rule_of_the_reader_falls_back_to_one_parse_of_the_body():
 
 
 def _count_parses(monkeypatch) -> list[str]:
-    """The texts httpd gives json.loads, in call order."""
+    """The texts wire gives json.loads, in call order."""
     given = []
 
     def loads(text):
         given.append(text)
         return json.loads(text)
 
-    monkeypatch.setattr(httpd, "json", SimpleNamespace(loads=loads))
+    monkeypatch.setattr(wire, "json", SimpleNamespace(loads=loads))
     return given
 
 
@@ -795,7 +795,7 @@ OVERLAPS = [
 def test_each_refusal_of_an_overlap_parses_the_new_feeds_whole(monkeypatch):
     parsed = _count_parses(monkeypatch)
     for kept, new, want in OVERLAPS:
-        memo = httpd.FeedReplies()
+        memo = wire.FeedReplies()
         _check_reads([("t", _feeds_text(kept))], memo)
         parsed.clear()
         _check_reads([("t", _feeds_text(new))], memo)
@@ -804,13 +804,13 @@ def test_each_refusal_of_an_overlap_parses_the_new_feeds_whole(monkeypatch):
 
 def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
     parsed = _count_parses(monkeypatch)
-    memo = httpd.FeedReplies()
+    memo = wire.FeedReplies()
     doc = {"channel": {"id": 1}, "feeds": [{"entry_id": i, "field1": f"{i}.5"}
                                            for i in range(1, 4)]}
-    first = httpd.parse_feeds_body(httpd._encode(doc), memo, "poll")
-    assert parsed == [httpd._encode(doc["feeds"])]
+    first = wire.parse_feeds_body(wire._encode(doc), memo, "poll")
+    assert parsed == [wire._encode(doc["feeds"])]
     doc["feeds"].append({"entry_id": 4, "field1": None})
-    second = httpd.parse_feeds_body(httpd._encode(doc), memo, "poll")
+    second = wire.parse_feeds_body(wire._encode(doc), memo, "poll")
     assert parsed[1:] == ['[{"entry_id":4,"field1":null}]']
     assert first["feeds"] == second["feeds"][:3]
     assert all(a is not b for a, b in zip(first["feeds"], second["feeds"]))
@@ -820,7 +820,7 @@ def test_an_item_is_parsed_once_and_each_read_has_its_own_dicts(monkeypatch):
 def test_short_reads_between_polls_leave_the_polls_items_in_the_memo(monkeypatch):
     monkeypatch.setattr(service_module, "MAX_RESULTS", 4)   # the memo holds 8 items
     parsed = _count_parses(monkeypatch)
-    memo = httpd.FeedReplies()
+    memo = wire.FeedReplies()
     polls = []
     for r in range(4):  # a poll of 4 entries, then a table, a plot and a new window
         ids = list(range(r + 1, r + 5))
@@ -828,23 +828,23 @@ def test_short_reads_between_polls_leave_the_polls_items_in_the_memo(monkeypatch
                              (f"window{r}", [20 + 2 * r, 21 + 2 * r])):
             doc = {"channel": {}, "feeds": [{"entry_id": i} for i in read]}
             parsed.clear()
-            assert httpd.parse_feeds_body(httpd._encode(doc), memo, target) == doc
+            assert wire.parse_feeds_body(wire._encode(doc), memo, target) == doc
             assert memo.items <= 8
             if target == "poll":
                 polls.append(parsed[:])
         assert "poll" in memo.by_target
     # from the second round on, a window read fills the memo; each poll
     # parses only its new entry
-    assert polls == [[httpd._encode([{"entry_id": i} for i in range(1, 5)])],
+    assert polls == [[wire._encode([{"entry_id": i} for i in range(1, 5)])],
                      ['[{"entry_id":5}]'], ['[{"entry_id":6}]'], ['[{"entry_id":7}]']]
 
 
 def test_a_thousand_window_targets_keep_at_most_2_x_max_results_items(monkeypatch):
     monkeypatch.setattr(service_module, "MAX_RESULTS", 4)
-    memo = httpd.FeedReplies()
+    memo = wire.FeedReplies()
     for i in range(1000):   # 0 to 3 entries a window, each under its own target
         doc = {"channel": {}, "feeds": [{"entry_id": 4 * i + k} for k in range(i % 4)]}
-        assert httpd.parse_feeds_body(httpd._encode(doc), memo, f"window{i}") == doc
+        assert wire.parse_feeds_body(wire._encode(doc), memo, f"window{i}") == doc
         assert memo.items == sum(len(items) for _, _, items in memo.by_target.values()) <= 8
     assert len(memo.by_target) <= 8
 
@@ -1044,18 +1044,43 @@ def test_expect_100_continue_gets_the_reply_alone(wire_servers):
     assert got[1] == want[1] is True
 
 
+DIGITS = b"1" * 5000        # past int()'s limit of 4300 digits
+NOT_FOUND = b'{"error":"channel not found"}'
+# request targets with a number that int() cannot read, and the reply each gets
+UNREADABLE_NUMBERS = {
+    "field with a superscript index": (
+        b"/update?api_key=" + WRITE_KEY.encode() + b"&field%C2%B2=1", b"400 Bad Request", b"0"),
+    "5000-digit field index": (
+        b"/update?api_key=" + WRITE_KEY.encode() + b"&field" + DIGITS + b"=1",
+        b"400 Bad Request", b"0"),
+    "5000-digit channel id": (b"/channels/" + DIGITS + b"/feeds.json", b"404 Not Found",
+                              NOT_FOUND),
+    "5000-digit field in the path": (b"/channels/1/fields/" + DIGITS + b".json",
+                                     b"404 Not Found", NOT_FOUND),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_NUMBERS))
+def test_a_number_int_cannot_read_gets_a_whole_reply(http_server, case):
+    target, status, body = UNREADABLE_NUMBERS[case]
+    reply, served_again = exchange(http_server, b"GET " + target + b" HTTP/1.1\r\n\r\n")
+    got_status, _, got_body = fields_of(reply)
+    assert (got_status, got_body) == (b"HTTP/1.1 " + status, body)
+    assert served_again
+
+
 def test_read_head_keeps_the_stdlibs_limits():
     head = b"A: 1\r\nb :  two  \r\nA: 3\r\nno colon\r\n\r\nrest"
     rfile = io.BytesIO(head)
-    assert httpd.read_head(rfile) == {"a": "1", "b": "two"}
+    assert wire.read_head(rfile) == {"a": "1", "b": "two"}
     assert rfile.read() == b"rest"
-    assert httpd.read_head(io.BytesIO(b"A: 1\n")) == {"a": "1"}  # EOF ends a head
-    assert len(httpd.read_head(io.BytesIO(b"X: y\r\n" * 99 + b"\r\n"))) == 1
+    assert wire.read_head(io.BytesIO(b"A: 1\n")) == {"a": "1"}  # EOF ends a head
+    assert len(wire.read_head(io.BytesIO(b"X: y\r\n" * 99 + b"\r\n"))) == 1
     with pytest.raises(HTTPException, match="got more than 100 headers"):
-        httpd.read_head(io.BytesIO(b"X: y\r\n" * 100 + b"\r\n"))
-    assert httpd.read_head(io.BytesIO(b"X: " + b"y" * 65531 + b"\r\n")) == {"x": "y" * 65531}
+        wire.read_head(io.BytesIO(b"X: y\r\n" * 100 + b"\r\n"))
+    assert wire.read_head(io.BytesIO(b"X: " + b"y" * 65531 + b"\r\n")) == {"x": "y" * 65531}
     with pytest.raises(LineTooLong):
-        httpd.read_head(io.BytesIO(b"X: " + b"y" * 65532 + b"\r\n"))
+        wire.read_head(io.BytesIO(b"X: " + b"y" * 65532 + b"\r\n"))
 
 
 def test_debug_log_has_one_line_per_request(http_server, caplog):

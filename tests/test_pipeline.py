@@ -13,7 +13,7 @@ from agristack.client import LocalServiceClient, ServiceUnavailable
 from agristack.envsim import ScenarioSpec, parse_scenario, simulate
 from agristack.gateway import DEFAULT_EPOCH, EdgeGateway, EmptyReadingError, Publisher
 from agristack.pipeline import RunReport, run_pipeline
-from agristack.httpd import feed_doc
+from agristack.wire import feed_doc
 from agristack.service import ChannelService, parse_timestamp
 from tests.conftest import FIELD_LABELS, WRITE_KEY
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from agristack import storelog
 from agristack import service as service_module
-from agristack.httpd import feed_doc, feeds_body
+from agristack.wire import feed_doc, feeds_body
 from agristack.service import (MAX_FIELDS, MAX_RESULTS, AuthError, BadRequestError,
                                Channel, ChannelService, CorruptStateError,
                                FeedEntry, FeedPage, UnknownChannelError, _check_order,

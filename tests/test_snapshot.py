@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from agristack import service as service_module
 from agristack import storelog
-from agristack.httpd import feeds_body
+from agristack.wire import feeds_body
 from agristack.service import (MAX_RESULTS, ChannelService, CorruptStateError,
                                _encode_entry, _field_object, _write_snapshot,
                                format_timestamp)
